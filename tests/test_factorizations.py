@@ -2,6 +2,7 @@
 and high-precision direct evaluation of their defining formulas."""
 
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +23,7 @@ from countfact import (
     sqrt_factorization,
     verify_reconstruction,
 )
-from countfact.factorizations import to_dense
+from countfact.factorizations import _nsr_delta_q, to_dense
 
 
 def dense_square_root(n):
@@ -55,6 +56,45 @@ def nsr_left_rearranged(n):
                 acc += r[n - 1 - k - t] ** 2 / (d[k + t] + d[k + t + 1]) * r[t]
             out[j, k] = acc
     return out
+
+
+def nsr_row_norms_sq_loop(n):
+    # The former production kernel: one O(n) pass per column of the left
+    # factor, each column a running prefix sum; O(n^2) time overall.
+    table = coefficient_table(n)
+    d = np.sqrt(table.d_sq)
+    row_sq = np.zeros(n)
+    for k in range(n):
+        col = np.cumsum(table.rtilde[: n - k] * d[k:])
+        row_sq[k:] += col * col
+    return row_sq
+
+
+def nsr_row_norms_sq_mpmath(n, dps=30):
+    # The same column loop on coefficients evaluated at dps decimal digits.
+    mp.mp.dps = dps
+    r = [mp.mpf(1)]
+    for k in range(1, n):
+        r.append(r[-1] * (2 * k - 1) / (2 * k))
+    rtilde = [mp.mpf(1)] + [-r[j] / (2 * j - 1) for j in range(1, n)]
+    prefix = [mp.mpf(0)]
+    for value in r:
+        prefix.append(prefix[-1] + value * value)
+    d = [mp.sqrt(prefix[n - j]) for j in range(n)]
+    row_sq = [mp.mpf(0)] * n
+    for k in range(n):
+        acc = mp.mpf(0)
+        for t in range(n - k):
+            acc += rtilde[t] * d[k + t]
+            row_sq[k + t] += acc * acc
+    return row_sq
+
+
+def wallis_fractions(count):
+    r = [Fraction(1)]
+    for k in range(1, count):
+        r.append(r[-1] * Fraction(2 * k - 1, 2 * k))
+    return r
 
 
 def group_algebra_direct(n):
@@ -156,6 +196,86 @@ class TestNsrFactorization:
         row_sq = nsr_row_norms_sq(n)
         mid = (n + 1) // 2  # 1-indexed ceil(n/2) -> storage mid - 1
         assert math.sqrt(row_sq[mid - 1]) >= 0.99 * math.sqrt(row_sq.max())
+
+    def test_lag_telescoping_exact(self):
+        # (2l+1) (P_{l+1}[b] - P_l[b]) = -2 (b+1) r_{b+l+1} r_{b+1} for the
+        # lag-l partial autocorrelation P_l[b] = sum_{t<=b} r_{t+l} r_t.
+        r = wallis_fractions(81)
+
+        def lagged(lag, b):
+            return sum(r[t + lag] * r[t] for t in range(b + 1))
+
+        for lag in range(40):
+            for b in range(40):
+                step = (2 * lag + 1) * (lagged(lag + 1, b) - lagged(lag, b))
+                assert step == -2 * (b + 1) * r[b + lag + 1] * r[b + 1]
+
+    def test_row_norm_decomposition_exact(self):
+        # Both identities behind nsr_row_norms_sq, in rational arithmetic.
+        # Summation by parts holds for any d, so d is the exact rational
+        # value of each float64 column norm and delta_i = d_i - d_{i+1}.
+        n = 40
+        r = wallis_fractions(n)
+        rtilde = [Fraction(1)] + [-r[j] / (2 * j - 1) for j in range(1, n)]
+        d = [Fraction(float(x)) for x in np.sqrt(coefficient_table(n).d_sq)]
+        delta = [d[i] - d[i + 1] for i in range(n - 1)]
+        h = [[sum(r[a - b + t] * r[t] for t in range(b + 1)) if a >= b else None
+              for b in range(n)] for a in range(n)]
+        q = [sum(h[a][b] * delta[b] for b in range(a)) for a in range(n)]
+        # q through the lag telescoping and the causal convolution V.
+        w = [2 * (b + 1) * r[b + 1] * delta[b] for b in range(n - 1)]
+        v = [sum(w[b] * Fraction(1, 2 * (j - b) - 1) for b in range(j)) for j in range(n)]
+        for a in range(n):
+            assert q[a] == sum(delta[b] * h[b][b] - r[b + 1] * v[b + 1] for b in range(a))
+        # Row norms of L = M D C^{-1} against d_j^2 H_jj + 2 d_j q_j + S_j.
+        s = Fraction(0)
+        for j in range(n):
+            entries = [sum(d[i] * rtilde[i - k] for i in range(k, j + 1))
+                       for k in range(j + 1)]
+            assert sum(e * e for e in entries) == d[j] ** 2 * h[j][j] + 2 * d[j] * q[j] + s
+            if j < n - 1:
+                s += 2 * delta[j] * q[j] + delta[j] ** 2 * h[j][j]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 777, 4096])
+    def test_profile_matches_column_loop(self, n):
+        fast = nsr_row_norms_sq(n)
+        loop = nsr_row_norms_sq_loop(n)
+        assert not fast.flags.writeable
+        assert np.abs(fast - loop).max() <= 1e-13 * loop.max()
+        assert math.isclose(math.sqrt(fast.max()), math.sqrt(loop.max()), rel_tol=1e-14)
+        assert math.isclose(math.sqrt(fast.sum() / n), math.sqrt(loop.sum() / n),
+                            rel_tol=1e-14)
+
+    @pytest.mark.parametrize("n", [7, 64, 256])
+    def test_maxse_meanse_match_mpmath(self, n):
+        exact = nsr_row_norms_sq_mpmath(n)
+        row_sq = nsr_row_norms_sq(n)
+        exact_max = mp.sqrt(max(exact))
+        exact_mean = mp.sqrt(mp.fsum(exact) / n)
+        assert abs(math.sqrt(row_sq.max()) - exact_max) <= 1e-14 * exact_max
+        assert abs(math.sqrt(row_sq.sum() / n) - exact_mean) <= 1e-14 * exact_mean
+        assert max(abs(x - y) for x, y in zip(row_sq, exact)) <= 1e-13 * max(exact)
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 4096, 2**16])
+    def test_scan_terms_nonnegative(self, n):
+        delta, q = _nsr_delta_q(coefficient_table(n))
+        assert delta.shape == (n - 1,) and q.shape == (n,)
+        assert np.all(delta >= 0.0)
+        assert np.all(q >= 0.0)
+
+    def test_scan_terms_match_dense(self):
+        n = 512
+        table = coefficient_table(n)
+        delta, q = _nsr_delta_q(table)
+        c = dense_square_root(n)
+        d = np.sqrt(table.d_sq)
+        # d_i - d_{i+1} cancels, so it only bounds delta to a few ulp of d_0.
+        assert np.abs(delta - (d[:-1] - d[1:])).max() <= 4 * np.finfo(float).eps * d[0]
+        dense_q = np.tril(c @ c.T, -1)[:, :-1] @ delta
+        assert np.abs(q - dense_q).max() <= 1e-13 * dense_q.max()
+
+    def test_reruns_bit_identical(self):
+        assert np.array_equal(nsr_row_norms_sq(1000), nsr_row_norms_sq(1000))
 
     def test_dense_budget_enforced(self):
         from countfact.factorizations import NsrLeft
