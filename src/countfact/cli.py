@@ -412,10 +412,6 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
-    for path in (args.out, args.svg):
-        if path and not _writable(path):
-            raise UsageError(f"cannot write {path}")
-
     factor_methods = [m for m in methods if m in fz.METHODS]
     rows = sweep_rows(factor_methods, metrics, sizes, threads=args.threads)
     if not rows:
@@ -611,6 +607,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Output paths are checked before any computation, which can be long.
+        for flag in ("csv", "out", "svg"):
+            path = getattr(args, flag, None)
+            if path and not _writable(path):
+                raise UsageError(f"cannot write {path}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,10 +22,12 @@ import numpy as np
 from .sequences import coefficient_table
 from .structmat import (
     LowerTriangularToeplitz,
+    RealConvolution,
     circulant_extension_spectrum,
     circulant_first_column,
     circulant_sqrt,
     counting_matrix,
+    fft_length,
 )
 
 SQRT = "sqrt"
@@ -78,20 +80,21 @@ class ColumnScaled:
         return float(self.n)
 
 
-class NsrLeft:
+class NsrLeft(RealConvolution):
     """Left factor M D C^{-1} of the normalized square root, unmaterialized.
 
-    Column k (0-based) is the running prefix sum of rtilde[t] * d[k + t],
-    t = 0..n-1-k; the diagonal entry is d[k].  Its row norms come from
-    nsr_row_norms_sq in O(n log n) time and O(n) memory.  The dense form is
-    built only on explicit request and refuses sizes above DENSE_BUDGET
-    (n = 2**14 would already need 2.7e8 entries).
+    ``col`` is rtilde, the first column of C^{-1}.  Column k (0-based) is
+    the running prefix sum of rtilde[t] * d[k + t], t = 0..n-1-k; the
+    diagonal entry is d[k].  Its row norms come from nsr_row_norms_sq in
+    O(n log n) time and O(n) memory.  The dense form is built only on
+    explicit request and refuses sizes above DENSE_BUDGET (n = 2**14 would
+    already need 2.7e8 entries).
     """
 
-    __slots__ = ("rtilde", "d", "_row_norms_sq")
+    __slots__ = ("d", "_row_norms_sq")
 
     def __init__(self, rtilde: np.ndarray, d: np.ndarray, row_norms_sq: np.ndarray):
-        self.rtilde = rtilde
+        super().__init__(rtilde)
         self.d = d
         self._row_norms_sq = row_norms_sq
 
@@ -104,8 +107,7 @@ class NsrLeft:
         return (self.n, self.n)
 
     def apply(self, y: np.ndarray) -> np.ndarray:
-        n = self.n
-        return np.cumsum(self.d * np.convolve(self.rtilde, y)[:n])
+        return np.cumsum(self.d * self._convolve(y)[: self.n])
 
     def to_dense(self) -> np.ndarray:
         n = self.n
@@ -113,7 +115,7 @@ class NsrLeft:
             raise ValueError(f"refusing dense {n} x {n} factor (budget {DENSE_BUDGET})")
         dense = np.zeros((n, n))
         for k in range(n):
-            dense[k:, k] = np.cumsum(self.rtilde[: n - k] * self.d[k:])
+            dense[k:, k] = np.cumsum(self.col[: n - k] * self.d[k:])
         return dense
 
     def row_norms_sq(self) -> np.ndarray:
@@ -123,7 +125,7 @@ class NsrLeft:
         n = self.n
         out = np.empty(n)
         for k in range(n):
-            col = np.cumsum(self.rtilde[: n - k] * self.d[k:])
+            col = np.cumsum(self.col[: n - k] * self.d[k:])
             out[k] = np.dot(col, col)
         return out
 
@@ -131,7 +133,7 @@ class NsrLeft:
         return float(np.sum(self._row_norms_sq))
 
 
-class CirculantSlice:
+class CirculantSlice(RealConvolution):
     """n-row or n-column slice of the 2n x 2n circulant square root.
 
     The full circulant has entry (j, k) = col[(j - k) mod 2n]; ``left``
@@ -141,14 +143,17 @@ class CirculantSlice:
     norms too.
     """
 
-    __slots__ = ("col", "sqrt_eigenvalues", "side")
+    __slots__ = ("side",)
 
-    def __init__(self, col: np.ndarray, sqrt_eigenvalues: np.ndarray, side: str):
+    def __init__(self, col: np.ndarray, side: str):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        self.col = col
-        self.sqrt_eigenvalues = sqrt_eigenvalues
+        super().__init__(col)
         self.side = side
+
+    @property
+    def fft_size(self) -> int:
+        return self.m
 
     @property
     def m(self) -> int:
@@ -162,15 +167,10 @@ class CirculantSlice:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.m) if self.side == "left" else (self.m, self.n)
 
-    def _circulant_apply(self, v: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(self.sqrt_eigenvalues * np.fft.fft(v)).real
-
     def apply(self, v: np.ndarray) -> np.ndarray:
-        if self.side == "left":
-            return self._circulant_apply(v)[: self.n]
-        padded = np.zeros(self.m)
-        padded[: self.n] = v
-        return self._circulant_apply(padded)
+        # The right slice's input is zero-padded to length m by the rfft.
+        out = self._convolve(v)
+        return out[: self.n] if self.side == "left" else out
 
     def to_dense(self) -> np.ndarray:
         j = np.arange(self.m)
@@ -260,7 +260,7 @@ def _nsr_delta_q(table) -> tuple[np.ndarray, np.ndarray]:
         w = 2.0 * np.arange(1, n) * r[1:] * delta
         kappa = 1.0 / (2.0 * np.arange(n) - 1.0)
         kappa[0] = 0.0
-        size = 1 << (2 * n - 1).bit_length()
+        size = fft_length(n)
         v = np.fft.irfft(np.fft.rfft(w, size) * np.fft.rfft(kappa, size), size)[1:n]
         np.cumsum(delta * h_diag[:-1] - r[1:] * v, out=q[1:])
     return delta, q
@@ -351,8 +351,8 @@ def group_algebra_factorization(n: int) -> Factorization:
     return Factorization(
         method=GROUP_ALGEBRA,
         n=n,
-        left=CirculantSlice(col, half.eigenvalues, "left"),
-        right=CirculantSlice(col, half.eigenvalues, "right"),
+        left=CirculantSlice(col, "left"),
+        right=CirculantSlice(col, "right"),
         inner_dim=2 * n,
         row_norms_sq_left=np.full(n, full),
         col_norms_sq_right=np.full(n, full),

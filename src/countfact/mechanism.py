@@ -106,7 +106,7 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
     f = cfg.factorization
     n = f.n
     sigma = noise_scale(f, cfg.mu)
-    left_norms = np.sqrt(np.asarray(f.row_norms_sq_left, dtype=np.float64))
+    z_scale = sigma * np.sqrt(np.asarray(f.row_norms_sq_left, dtype=np.float64))
     dev_sq_sum = np.zeros(n)
     z_sum = np.zeros(n)
     z_sq_sum = np.zeros(n)
@@ -115,7 +115,7 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
         dev = f.left.apply(sigma * z)
         dev_sq_sum += dev * dev
         if sigma > 0.0:
-            standardized = dev / (sigma * left_norms)
+            standardized = dev / z_scale
             z_sum += standardized
             z_sq_sum += standardized * standardized
     per_coord_ms = dev_sq_sum / cfg.trials

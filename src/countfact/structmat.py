@@ -16,7 +16,42 @@ logger = logging.getLogger(__name__)
 IMAG_TRUNCATION = 1e-10
 
 
-class LowerTriangularToeplitz:
+def fft_length(n: int) -> int:
+    """Power-of-two FFT length for the product of two length-n sequences:
+    the smallest power of two above 2n - 1, at which circular convolution
+    equals linear convolution."""
+    return 1 << (2 * n - 1).bit_length()
+
+
+class RealConvolution:
+    """Kernel shared by the structured operators: circular convolution of
+    length ``fft_size`` with the fixed real column ``col``, by one
+    rfft/irfft pair.
+
+    The column's spectrum is computed by the first product and kept, so a
+    factorization that is never applied (as in every sweep) never pays for
+    it.  The default length is fft_length(col.size), at which the first
+    col.size outputs are the linear convolution.
+    """
+
+    __slots__ = ("col", "_spectrum")
+
+    def __init__(self, col: np.ndarray):
+        self.col = col
+        self._spectrum = None
+
+    @property
+    def fft_size(self) -> int:
+        return fft_length(self.col.size)
+
+    def _convolve(self, x: np.ndarray) -> np.ndarray:
+        size = self.fft_size
+        if self._spectrum is None:
+            self._spectrum = np.fft.rfft(self.col, size)
+        return np.fft.irfft(np.fft.rfft(x, size) * self._spectrum, size)
+
+
+class LowerTriangularToeplitz(RealConvolution):
     """n x n lower-triangular Toeplitz matrix stored by its first column.
 
     Entry (j, k) equals col[j - k] for j >= k and 0 otherwise.  The product
@@ -24,14 +59,14 @@ class LowerTriangularToeplitz:
     column the truncated convolution of the factors' columns.
     """
 
-    __slots__ = ("col",)
+    __slots__ = ()
 
     def __init__(self, col):
         col = np.array(col, dtype=np.float64)
         if col.ndim != 1 or col.size == 0:
             raise ValueError("first column must be a nonempty 1-D array")
         col.setflags(write=False)
-        self.col = col
+        super().__init__(col)
 
     @property
     def n(self) -> int:
@@ -43,7 +78,7 @@ class LowerTriangularToeplitz:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Matrix-vector product, as a truncated convolution."""
-        return np.convolve(self.col, x)[: self.n]
+        return self._convolve(x)[: self.n]
 
     def to_dense(self) -> np.ndarray:
         j = np.arange(self.n)

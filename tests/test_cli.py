@@ -166,6 +166,30 @@ class TestSweep:
         assert "CHECK OK" in out
 
 
+class TestCsvPaths:
+    @pytest.mark.parametrize("argv, module, compute", [
+        (("coeffs", "--n", "4"), "countfact.cli", "coefficient_table"),
+        (("metrics", "--method", "nsr", "--n", "8"), "countfact.metrics", "error_report"),
+        (("bounds", "--n", "8"), "countfact.bounds", "bound_report"),
+        (("simulate", "--method", "nsr", "--n", "8", "--trials", "2"),
+         "countfact.cli", "estimate_errors"),
+    ], ids=["coeffs", "metrics", "bounds", "simulate"])
+    @pytest.mark.parametrize("bad", ["missing-dir", "directory"])
+    def test_unwritable_csv_exits_2_before_computing(self, capsys, tmp_path,
+                                                     monkeypatch, argv, module,
+                                                     compute, bad):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{argv[0]} computed before checking --csv")
+
+        monkeypatch.setattr(f"{module}.{compute}", must_not_run)
+        path = tmp_path / "missing-dir" / "x.csv" if bad == "missing-dir" else tmp_path
+        code, out, err = run_cli(capsys, *argv, "--csv", str(path))
+        assert code == 2
+        assert f"cannot write {path}" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulate:
     def test_deterministic_output(self, capsys):
         argv = ("simulate", "--method", "nsr", "--n", "8", "--mu", "1",

@@ -14,6 +14,8 @@ from countfact import (
     GROUP_ALGEBRA,
     NSR,
     SQRT,
+    circulant_extension_spectrum,
+    circulant_sqrt,
     coefficient_table,
     counting_matrix,
     factorize,
@@ -23,7 +25,10 @@ from countfact import (
     sqrt_factorization,
     verify_reconstruction,
 )
-from countfact.factorizations import _nsr_delta_q, to_dense
+from countfact.factorizations import ColumnScaled, _nsr_delta_q, to_dense
+
+# Sizes for the FFT kernel: 4097 is where 2n - 1 passes a power of two.
+KERNEL_SIZES = [1, 2, 3, 5, 64, 777, 4096, 4097]
 
 
 def dense_square_root(n):
@@ -277,6 +282,13 @@ class TestNsrFactorization:
     def test_reruns_bit_identical(self):
         assert np.array_equal(nsr_row_norms_sq(1000), nsr_row_norms_sq(1000))
 
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_apply_matches_convolve_oracle(self, n):
+        f = nsr_factorization(n)
+        y = np.random.default_rng(n).standard_normal(n)
+        expected = np.cumsum(f.left.d * np.convolve(coefficient_table(n).rtilde, y)[:n])
+        assert np.abs(f.left.apply(y) - expected).max() <= 1e-13 * np.abs(expected).max()
+
     def test_dense_budget_enforced(self):
         from countfact.factorizations import NsrLeft
 
@@ -328,6 +340,33 @@ class TestGroupAlgebraFactorization:
         x = rng.standard_normal(8)
         assert_allclose(f.left.apply(y), to_dense(f.left) @ y, atol=1e-12)
         assert_allclose(f.right.apply(x), to_dense(f.right) @ x, atol=1e-12)
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_apply_matches_complex_spectrum_path(self, n):
+        # Reference: complex fft/ifft with the closed-form sqrt eigenvalues.
+        f = group_algebra_factorization(n)
+        lam = circulant_sqrt(circulant_extension_spectrum(n)).eigenvalues
+        v = np.random.default_rng(n).standard_normal(2 * n)
+        padded = np.concatenate((v[:n], np.zeros(n)))
+        for got, reference in (
+            (f.left.apply(v), np.fft.ifft(lam * np.fft.fft(v)).real[:n]),
+            (f.right.apply(v[:n]), np.fft.ifft(lam * np.fft.fft(padded)).real),
+        ):
+            assert got.shape == reference.shape
+            assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+class TestOperatorSpectrum:
+    @pytest.mark.parametrize("method", [SQRT, NSR, GROUP_ALGEBRA])
+    def test_only_apply_computes_the_spectrum(self, method):
+        f = factorize(method, 64)
+        rng = np.random.default_rng(0)
+        ops = (f.left, f.right)  # one shared object for sqrt
+        kernels = [op.base if isinstance(op, ColumnScaled) else op for op in ops]
+        assert all(kernel._spectrum is None for kernel in kernels)
+        for op, kernel in zip(ops, kernels):
+            op.apply(rng.standard_normal(op.shape[1]))
+            assert kernel._spectrum is not None
 
 
 class TestReconstruction:

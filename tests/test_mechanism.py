@@ -101,6 +101,23 @@ class TestAdditivity:
         assert out[0] == z[0]
 
 
+class TestPinnedEstimates:
+    # Values of the direct-convolution simulator (np.convolve for sqrt and
+    # nsr, complex fft/ifft for group-algebra) at n = 1024, seed 3.
+    PINNED = {
+        "sqrt": (4.320414768744701, 3.0277414327453442),
+        "nsr": (3.7111304480785985, 2.9106766766529333),
+        GROUP_ALGEBRA: (4.004161010885295, 3.1496648677980974),
+    }
+
+    @pytest.mark.parametrize("method", ["sqrt", "nsr", GROUP_ALGEBRA])
+    def test_matches_direct_convolution(self, method):
+        result = estimate_errors(make_config(method=method, n=1024, trials=50, seed=3))
+        err_inf, err_2 = self.PINNED[method]
+        assert_allclose(result.empirical_err_inf, err_inf, rtol=1e-12)
+        assert_allclose(result.empirical_err_2, err_2, rtol=1e-12)
+
+
 class TestScaleLaw:
     def test_doubling_mu_halves_errors_exactly(self):
         base = estimate_errors(make_config(mu=1.0, trials=100))

@@ -3,6 +3,9 @@ O(m^2) transform evaluation as oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from countfact import (
@@ -18,6 +21,21 @@ from countfact import (
     spectrum_to_dense,
     wallis_coeffs,
 )
+
+
+# Sizes for the FFT kernel: 4097 is where 2n - 1 passes a power of two, so
+# a transform one power too short would alias there.
+KERNEL_SIZES = [1, 2, 3, 5, 64, 777, 4096, 4097]
+
+
+def assert_matches_convolve(col, x):
+    # Oracle: direct O(n^2) convolution, truncated to the first n terms.
+    n = col.size
+    got = LowerTriangularToeplitz(col).apply(x)
+    # Bounds |col|_2 |x|_2 without squaring, which could underflow.
+    scale = n * np.abs(col).max() * np.abs(x).max()
+    assert got.shape == (n,)
+    assert np.abs(got - np.convolve(col, x)[:n]).max() <= 1e-14 * scale + 1e-300
 
 
 def direct_dft(v, inverse=False):
@@ -71,6 +89,31 @@ class TestLowerTriangularToeplitz:
         a = LowerTriangularToeplitz(rng.standard_normal(33))
         x = rng.standard_normal(33)
         assert_allclose(a.apply(x), a.to_dense() @ x, atol=1e-12)
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_apply_matches_truncated_convolve(self, n):
+        rng = np.random.default_rng(n)
+        assert_matches_convolve(rng.standard_normal(n), rng.standard_normal(n))
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(data=st.data())
+    def test_apply_matches_truncated_convolve_property(self, data):
+        n = data.draw(st.integers(1, 300), label="n")
+        values = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+        col = data.draw(arrays(np.float64, n, elements=values), label="col")
+        x = data.draw(arrays(np.float64, n, elements=values), label="x")
+        assert_matches_convolve(col, x)
+
+    def test_spectrum_computed_by_first_apply_and_kept(self):
+        rng = np.random.default_rng(3)
+        a = LowerTriangularToeplitz(rng.standard_normal(100))
+        assert a._spectrum is None
+        x, y = rng.standard_normal(100), rng.standard_normal(100)
+        a.apply(x)
+        spectrum = a._spectrum
+        assert spectrum is not None and spectrum.size == a.fft_size // 2 + 1 == 129
+        assert np.array_equal(a.apply(y), LowerTriangularToeplitz(a.col).apply(y))
+        assert a._spectrum is spectrum
 
     def test_norm_profiles(self):
         a = LowerTriangularToeplitz([3.0, 4.0])
