@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sequences import CONSTANTS, EULER_GAMMA
-from .metrics import residual_offset
+from .metrics import _odd_cosecant_sum, residual_offset
 
 
 def nuclear_lower_bound(n: int) -> float:
@@ -37,9 +37,7 @@ def mathias_lower_bound(n: int) -> float:
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    j = np.arange(1, n + 1)
-    terms = 1.0 / np.sin((2 * j - 1) * np.pi / (2 * n))
-    return (n + 1) / (2.0 * n * n) * math.fsum(terms)
+    return (n + 1) / (2.0 * n * n) * _odd_cosecant_sum(n)
 
 
 def cosecant_average(n: int) -> tuple[float, float]:

@@ -266,7 +266,13 @@ def _coeff_checks(table) -> list[str]:
     return failures
 
 
+def _dump_paths(prefix: str) -> tuple[str, str]:
+    return f"{prefix}_left.csv", f"{prefix}_right.csv"
+
+
 def cmd_factorize(args) -> int:
+    if args.dump and args.n > fz.DENSE_BUDGET:
+        raise UsageError(f"--dump needs n <= {fz.DENSE_BUDGET}")
     f = fz.factorize(args.method, args.n)
     report = mt.error_report(args.method, args.n, factorization=f)
     _print_table([
@@ -280,11 +286,7 @@ def cmd_factorize(args) -> int:
         ("meanse", report.meanse),
     ])
     if args.dump:
-        if args.n > fz.DENSE_BUDGET:
-            print(f"error: --dump needs n <= {fz.DENSE_BUDGET}", file=sys.stderr)
-            return EXIT_USAGE
-        for side, mat in (("left", f.left), ("right", f.right)):
-            path = f"{args.dump}_{side}.csv"
+        for path, mat in zip(_dump_paths(args.dump), (f.left, f.right)):
             np.savetxt(path, fz.to_dense(mat), fmt="%.17g", delimiter=",")
             print(f"wrote {path}")
     if args.check:
@@ -608,8 +610,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         # Output paths are checked before any computation, which can be long.
-        for flag in ("csv", "out", "svg"):
-            path = getattr(args, flag, None)
+        paths = [getattr(args, flag, None) for flag in ("csv", "out", "svg")]
+        if getattr(args, "dump", None):
+            paths += _dump_paths(args.dump)
+        for path in paths:
             if path and not _writable(path):
                 raise UsageError(f"cannot write {path}")
         return args.func(args)

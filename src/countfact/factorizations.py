@@ -133,27 +133,33 @@ class NsrLeft(RealConvolution):
         return float(np.sum(self._row_norms_sq))
 
 
-class CirculantSlice(RealConvolution):
+class CirculantSlice:
     """n-row or n-column slice of the 2n x 2n circulant square root.
 
     The full circulant has entry (j, k) = col[(j - k) mod 2n]; ``left``
     keeps the first n rows (n x 2n), ``right`` the first n columns
     (2n x n).  Every row and every column of the full circulant has the
     same squared norm, sum(col**2), so the sliced-off side inherits equal
-    norms too.
+    norms too.  Both slices of one circulant share one length-2n kernel,
+    and so one spectrum.
     """
 
-    __slots__ = ("side",)
+    __slots__ = ("kernel", "side")
 
-    def __init__(self, col: np.ndarray, side: str):
+    def __init__(self, kernel: RealConvolution, side: str):
         if side not in ("left", "right"):
             raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        super().__init__(col)
+        self.kernel = kernel
         self.side = side
 
     @property
-    def fft_size(self) -> int:
-        return self.m
+    def col(self) -> np.ndarray:
+        return self.kernel.col
+
+    @property
+    def _spectrum(self):
+        # None until either slice is first applied.
+        return self.kernel._spectrum
 
     @property
     def m(self) -> int:
@@ -169,7 +175,7 @@ class CirculantSlice(RealConvolution):
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         # The right slice's input is zero-padded to length m by the rfft.
-        out = self._convolve(v)
+        out = self.kernel._convolve(v)
         return out[: self.n] if self.side == "left" else out
 
     def to_dense(self) -> np.ndarray:
@@ -344,15 +350,15 @@ def group_algebra_factorization(n: int) -> Factorization:
     (respectively columns) of the resulting real circulant.  All rows of
     the left factor and all columns of the right factor share one norm.
     """
-    spec = circulant_extension_spectrum(n)
-    half = circulant_sqrt(spec)
-    col = circulant_first_column(half)
+    # Nested, so that the extension spectrum is freed before the ifft runs.
+    col = circulant_first_column(circulant_sqrt(circulant_extension_spectrum(n)))
+    kernel = RealConvolution(col, col.size)
     full = float(np.dot(col, col))
     return Factorization(
         method=GROUP_ALGEBRA,
         n=n,
-        left=CirculantSlice(col, "left"),
-        right=CirculantSlice(col, "right"),
+        left=CirculantSlice(kernel, "left"),
+        right=CirculantSlice(kernel, "right"),
         inner_dim=2 * n,
         row_norms_sq_left=np.full(n, full),
         col_norms_sq_right=np.full(n, full),

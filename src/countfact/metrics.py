@@ -64,20 +64,23 @@ def closed_form_maxse_sqrt(n: int) -> float:
     return math.fsum(table.r * table.r)
 
 
+def _odd_cosecant_sum(n: int) -> float:
+    """sum_{l=1..n} csc(pi (2l - 1) / (2n)), by math.fsum, whose result
+    does not depend on the order of terms spanning several magnitudes."""
+    l = np.arange(1, n + 1)
+    return math.fsum(1.0 / np.sin(np.pi * (2 * l - 1) / (2 * n)))
+
+
 def closed_form_maxse_group_algebra(n: int) -> float:
     """MaxSE of the group-algebra factorization:
 
         1/2 + (1/2n) sum_{l=1..n} csc(pi (2l - 1) / (2n)).
 
     Its MeanSE coincides because all rows of the left factor share one norm.
-    math.fsum makes the summation order irrelevant even though the terms
-    span several orders of magnitude.
     """
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    l = np.arange(1, n + 1)
-    terms = 1.0 / np.sin(np.pi * (2 * l - 1) / (2 * n))
-    return 0.5 + math.fsum(terms) / (2 * n)
+    return 0.5 + _odd_cosecant_sum(n) / (2 * n)
 
 
 _PREDICTED = {

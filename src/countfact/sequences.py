@@ -25,22 +25,35 @@ import numpy as np
 EULER_GAMMA = 0.5772156649015329
 
 
-def _kahan_cumsum(values: np.ndarray) -> np.ndarray:
-    """Running sums with Kahan compensation.
+def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
+    """Running sums in twice the working precision: the prefix form of
+    cascaded summation (Ogita, Rump & Oishi, "Accurate sum and dot product",
+    SIAM J. Sci. Comput. 26(6), 2005, Algorithm Sum2).
 
-    Plain cumsum drifts by ~n ulp over the 1e5..1e6-term sums the sweeps
-    reach; compensation keeps every prefix correctly rounded to ~1 ulp.
+    p = cumsum(x) is corrected by the running sum of its exact rounding
+    errors, e_i = (p_{i-1} - (p_i - z_i)) + (x_i - z_i) with
+    z_i = p_i - p_{i-1} (TwoSum), all vectorized.  Each prefix of m terms,
+    with exact sum s, comes out as res with
+
+        |res - s| <= eps |s| + gamma_{m-1}^2 sum |x_i|,
+
+    eps = 2**-53 and gamma_k = k eps / (1 - k eps).  For nonnegative input
+    that is one rounding of s plus a term of order (m eps)^2, where plain
+    cumsum drifts by up to m - 1 roundings.  Besides the input, at most
+    four n-length arrays are live at once.
     """
-    out = np.empty(len(values))
-    total = 0.0
-    carry = 0.0
-    for i, v in enumerate(values):
-        y = v - carry
-        t = total + y
-        carry = (t - total) - y
-        total = t
-        out[i] = total
-    return out
+    x = np.asarray(values, dtype=np.float64)
+    p = np.cumsum(x)
+    e = np.empty_like(p)
+    e[:1] = 0.0
+    e[1:] = p[:-1]
+    z = p - e
+    e -= p - z
+    z -= x
+    e -= z
+    np.cumsum(e, out=e)
+    p += e
+    return p
 
 
 def wallis_coeffs(n: int) -> np.ndarray:
@@ -67,11 +80,14 @@ def inverse_coeffs(n: int) -> np.ndarray:
     coefficients of the inverse of the square-root factor, and their prefix
     sums telescope back onto the r_j:  sum_{t<=j} rtilde_t = r_j.
     """
-    r = wallis_coeffs(n)
-    rtilde = np.empty(n)
+    return _inverse_from_wallis(wallis_coeffs(n))
+
+
+def _inverse_from_wallis(r: np.ndarray) -> np.ndarray:
+    rtilde = np.empty(r.size)
     rtilde[0] = 1.0
-    if n > 1:
-        j = np.arange(1, n, dtype=np.float64)
+    if r.size > 1:
+        j = np.arange(1, r.size, dtype=np.float64)
         rtilde[1:] = -r[1:] / (2.0 * j - 1.0)
     return rtilde
 
@@ -85,7 +101,7 @@ def column_norms_sq(n: int) -> np.ndarray:
     r_{n-j}^2.
     """
     r = wallis_coeffs(n)
-    return _kahan_cumsum(r * r)[::-1].copy()
+    return _compensated_cumsum(r * r)[::-1].copy()
 
 
 def landau_alpha(n: int) -> float:
@@ -127,16 +143,17 @@ class CoefficientTable:
     alpha: np.ndarray
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=2)
 def coefficient_table(n: int) -> CoefficientTable:
     """Build (and memoize) the coefficient table at size n.
 
-    The table is immutable and safe to share across threads; it is built
-    once per n and never resized.
+    The table is immutable and safe to share across threads.  The cache
+    holds the two most recent sizes, 32n bytes each, because a sweep point
+    looks its size up at most twice; rebuilding an evicted size costs O(n).
     """
     r = wallis_coeffs(n)
-    rtilde = inverse_coeffs(n)
-    prefix = _kahan_cumsum(r * r)
+    rtilde = _inverse_from_wallis(r)
+    prefix = _compensated_cumsum(r * r)
     d_sq = prefix[::-1].copy()
     m = np.arange(1, n + 1, dtype=np.float64)
     alpha = prefix - np.log(m) / math.pi

@@ -34,15 +34,12 @@ class RealConvolution:
     col.size outputs are the linear convolution.
     """
 
-    __slots__ = ("col", "_spectrum")
+    __slots__ = ("col", "fft_size", "_spectrum")
 
-    def __init__(self, col: np.ndarray):
+    def __init__(self, col: np.ndarray, fft_size: int | None = None):
         self.col = col
+        self.fft_size = fft_length(col.size) if fft_size is None else fft_size
         self._spectrum = None
-
-    @property
-    def fft_size(self) -> int:
-        return fft_length(self.col.size)
 
     def _convolve(self, x: np.ndarray) -> np.ndarray:
         size = self.fft_size

@@ -51,6 +51,17 @@ class TestMathiasLowerBound:
         residual = mathias_lower_bound(2**12) - residual_offset(2**12)
         assert abs(residual - CONSTANTS.mathias_lb_const) < 0.02
 
+    @pytest.mark.parametrize("n, value", [
+        (1, 1.0),
+        (2, 1.0606601717798212),
+        (7, 1.2584083172603029),
+        (1024, 2.6902420621148133),
+        (2**17, 4.232098904079505),
+    ])
+    def test_pinned_values(self, n, value):
+        # Bitwise, as computed before the odd-cosecant sum became one helper.
+        assert mathias_lower_bound(n) == value
+
     @pytest.mark.parametrize("n", [2, 3, 8, 64, 1024])
     def test_weaker_than_nuclear(self, n):
         assert mathias_lower_bound(n) <= nuclear_lower_bound(n)

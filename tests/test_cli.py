@@ -49,6 +49,40 @@ class TestFactorize:
         product = left @ right
         assert np.abs(product - np.tril(np.ones((8, 8)))).max() <= 1e-9
 
+    @pytest.mark.parametrize("bad", ["missing-dir", "left-is-directory",
+                                     "right-is-directory"])
+    def test_unwritable_dump_exits_2_before_computing(self, capsys, tmp_path,
+                                                      monkeypatch, bad):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("factorize computed before checking --dump")
+
+        monkeypatch.setattr("countfact.factorizations.factorize", must_not_run)
+        prefix = tmp_path / "x"
+        if bad == "missing-dir":
+            prefix = tmp_path / "missing-dir" / "x"
+        else:
+            (tmp_path / f"x_{bad.split('-')[0]}.csv").mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run_cli(capsys, "factorize", "--method", "nsr", "--n", "8",
+                                 "--dump", str(prefix))
+        assert code == 2
+        assert "cannot write" in err
+        assert out == ""
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_dump_over_budget_exits_2_before_computing(self, capsys, tmp_path,
+                                                       monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("factorize computed before checking --dump's size")
+
+        monkeypatch.setattr("countfact.factorizations.factorize", must_not_run)
+        code, out, err = run_cli(capsys, "factorize", "--method", "sqrt", "--n", "4097",
+                                 "--dump", str(tmp_path / "x"))
+        assert code == 2
+        assert "--dump needs n <= 4096" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_unknown_method_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["factorize", "--method", "qr", "--n", "4"])

@@ -368,6 +368,15 @@ class TestOperatorSpectrum:
             op.apply(rng.standard_normal(op.shape[1]))
             assert kernel._spectrum is not None
 
+    @pytest.mark.parametrize("first", ["left", "right"])
+    def test_group_algebra_slices_share_one_spectrum(self, first):
+        f = group_algebra_factorization(8)
+        ops = (f.left, f.right) if first == "left" else (f.right, f.left)
+        for op in ops:
+            op.apply(np.ones(op.shape[1]))
+        assert f.left._spectrum is not None
+        assert f.left._spectrum is f.right._spectrum
+
 
 class TestReconstruction:
     def test_examples(self):

@@ -104,6 +104,17 @@ class TestClosedForms:
         assert abs(maxse(f) - closed) <= 1e-9 * closed
         assert abs(meanse(f) - maxse(f)) <= 1e-10 * maxse(f)
 
+    @pytest.mark.parametrize("n, value", [
+        (1, 1.0),
+        (2, 1.2071067811865475),
+        (7, 1.601107277602765),
+        (1024, 3.1876174357127502),
+        (2**17, 4.73206661597361),
+    ])
+    def test_group_algebra_pinned_values(self, n, value):
+        # Bitwise, as computed before the odd-cosecant sum became one helper.
+        assert closed_form_maxse_group_algebra(n) == value
+
     def test_group_algebra_values(self):
         assert_allclose(closed_form_maxse_group_algebra(1), 1.0, rtol=1e-15)
         assert_allclose(closed_form_maxse_group_algebra(2), 0.5 + math.sqrt(2.0) / 2.0,
