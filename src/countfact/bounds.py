@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,34 +73,39 @@ def log_product_average(n: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Both lower bounds at one n, their residuals against log(n)/pi, and
-    the cosecant average G(n) with its prediction (None when n < 2)."""
+    """Both lower bounds at one n and their residuals against log(n)/pi.
+    The cosecant average G(n) and its prediction (None when n < 2) are
+    computed on first read."""
 
     n: int
     nuclear_lb: float
     mathias_lb: float
     nuclear_residual: float
     mathias_residual: float
-    g_n: float | None
-    g_n_predicted: float | None
+
+    @cached_property
+    def _cosecant_average(self) -> tuple[float | None, float | None]:
+        return cosecant_average(self.n) if self.n >= 2 else (None, None)
+
+    @property
+    def g_n(self) -> float | None:
+        return self._cosecant_average[0]
+
+    @property
+    def g_n_predicted(self) -> float | None:
+        return self._cosecant_average[1]
 
 
 def bound_report(n: int) -> BoundReport:
     nuclear = nuclear_lower_bound(n)
     mathias = mathias_lower_bound(n)
     offset = residual_offset(n)
-    if n >= 2:
-        g_n, g_pred = cosecant_average(n)
-    else:
-        g_n, g_pred = None, None
     return BoundReport(
         n=n,
         nuclear_lb=nuclear,
         mathias_lb=mathias,
         nuclear_residual=nuclear - offset,
         mathias_residual=mathias - offset,
-        g_n=g_n,
-        g_n_predicted=g_pred,
     )
 
 

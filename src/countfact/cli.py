@@ -28,6 +28,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
 SWEEP_HEADER = ("n", "method", "metric", "value", "residual", "predicted_residual")
+SIMULATE_HEADER = ("n", "method", "mu", "trials", "seed", "empirical_err_inf",
+                   "empirical_err_2", "theory_err_inf", "theory_err_2")
 BOUND_METRICS = ("nuclear_lb", "mathias_lb")
 LOWER_BOUND_METHOD = "lower-bound"  # method column for bound rows
 
@@ -71,54 +73,58 @@ def sweep_sizes(n_min: int, n_max: int, geometric: bool) -> list[int]:
     return sizes
 
 
+# metric -> (value, residual, predicted residual) read off the report of its
+# point: an ErrorReport for maxse/meanse, a BoundReport for the bounds.
+_ROW_GETTERS = {
+    mt.MAXSE: lambda r: (r.maxse, r.maxse_residual, r.predicted_maxse_residual),
+    mt.MEANSE: lambda r: (r.meanse, r.meanse_residual, r.predicted_meanse_residual),
+    "nuclear_lb": lambda r: (r.nuclear_lb, r.nuclear_residual,
+                             bounds_mod.predicted_nuclear_residual()),
+    "mathias_lb": lambda r: (r.mathias_lb, r.mathias_residual,
+                             bounds_mod.predicted_mathias_residual()),
+}
+
+
+def _report_rows(n, method, report, metrics) -> list[tuple]:
+    return [(n, method, metric, *_ROW_GETTERS[metric](report)) for metric in metrics]
+
+
 def sweep_rows(methods, metrics, sizes, threads: int = 1):
     """One (n, method, metric, value, residual, predicted) tuple per point,
     sorted by (method, metric, n) so the output is deterministic regardless
     of worker completion order."""
-    method_metrics = [m for m in metrics if m in mt.METRICS]
-    bound_metrics = [m for m in metrics if m in BOUND_METRICS]
+    method_metrics = [m for m in mt.METRICS if m in metrics]
+    bound_metrics = [m for m in BOUND_METRICS if m in metrics]
 
-    def method_point(method, n):
-        report = mt.error_report(method, n)
-        out = []
-        if mt.MAXSE in method_metrics:
-            out.append((n, method, mt.MAXSE, report.maxse, report.maxse_residual,
-                        report.predicted_maxse_residual))
-        if mt.MEANSE in method_metrics:
-            out.append((n, method, mt.MEANSE, report.meanse, report.meanse_residual,
-                        report.predicted_meanse_residual))
-        return out
+    def point(method, n):
+        if method == LOWER_BOUND_METHOD:
+            return _report_rows(n, method, bounds_mod.bound_report(n), bound_metrics)
+        return _report_rows(n, method, mt.error_report(method, n), method_metrics)
 
-    def bound_point(n):
-        report = bounds_mod.bound_report(n)
-        out = []
-        if "nuclear_lb" in bound_metrics:
-            out.append((n, LOWER_BOUND_METHOD, "nuclear_lb", report.nuclear_lb,
-                        report.nuclear_residual, bounds_mod.predicted_nuclear_residual()))
-        if "mathias_lb" in bound_metrics:
-            out.append((n, LOWER_BOUND_METHOD, "mathias_lb", report.mathias_lb,
-                        report.mathias_residual, bounds_mod.predicted_mathias_residual()))
-        return out
-
-    tasks = []
-    with concurrent.futures.ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
-        if method_metrics:
-            tasks += [pool.submit(method_point, method, n)
-                      for method in methods for n in sizes]
-        if bound_metrics:
-            tasks += [pool.submit(bound_point, n) for n in sizes]
+    points = [(method, n) for method in methods for n in sizes] if method_metrics else []
+    if bound_metrics:
+        points += [(LOWER_BOUND_METHOD, n) for n in sizes]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
+        tasks = [pool.submit(point, method, n) for method, n in points]
         rows = [row for task in tasks for row in task.result()]
     rows.sort(key=lambda row: (row[1], row[2], row[0]))
     return rows
 
 
+def _write_csv(path: str, header, rows, append: bool = False) -> None:
+    """Write rows under a header, floats at 17 significant digits.  An
+    appended file gets the header only when it is new."""
+    write_header = not (append and os.path.exists(path))
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as handle:
+        if write_header:
+            handle.write(",".join(header) + "\n")
+        for row in rows:
+            handle.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
+                                  for v in row) + "\n")
+
+
 def write_sweep_csv(path: str, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(",".join(SWEEP_HEADER) + "\n")
-        for n, method, metric, value, residual, predicted in rows:
-            handle.write(
-                f"{n},{method},{metric},{_fmt(value)},{_fmt(residual)},{_fmt(predicted)}\n"
-            )
+    _write_csv(path, SWEEP_HEADER, rows)
 
 
 _PALETTE = (
@@ -203,17 +209,6 @@ def write_sweep_svg(path: str, rows) -> None:
         handle.write("\n".join(parts) + "\n")
 
 
-def _append_csv_rows(path: str, rows) -> None:
-    new_file = not os.path.exists(path)
-    with open(path, "a", encoding="utf-8", newline="") as handle:
-        if new_file:
-            handle.write(",".join(SWEEP_HEADER) + "\n")
-        for n, method, metric, value, residual, predicted in rows:
-            handle.write(
-                f"{n},{method},{metric},{_fmt(value)},{_fmt(residual)},{_fmt(predicted)}\n"
-            )
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -227,11 +222,9 @@ def cmd_coeffs(args) -> int:
         print(f"{k:>6} {_fmt(table.r[k]):>24} {_fmt(table.rtilde[k]):>24} "
               f"{_fmt(table.d_sq[k]):>24} {_fmt(table.alpha[k]):>24}")
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write("k,r,rtilde,d_sq,alpha\n")
-            for k in range(args.n):
-                handle.write(f"{k},{_fmt(table.r[k])},{_fmt(table.rtilde[k])},"
-                             f"{_fmt(table.d_sq[k])},{_fmt(table.alpha[k])}\n")
+        columns = (table.r, table.rtilde, table.d_sq, table.alpha)
+        _write_csv(args.csv, ("k", "r", "rtilde", "d_sq", "alpha"),
+                   zip(range(args.n), *(c.tolist() for c in columns)))
     if args.check:
         return _run_checks("coeffs", _coeff_checks(table))
     return EXIT_OK
@@ -321,14 +314,8 @@ def cmd_metrics(args) -> int:
         pairs.append(("closed_form_meanse", report.closed_form_meanse))
     _print_table(pairs)
     if args.csv:
-        offset = mt.residual_offset(args.n)
-        rows = [
-            (args.n, args.method, mt.MAXSE, report.maxse, report.maxse - offset,
-             report.predicted_maxse_residual),
-            (args.n, args.method, mt.MEANSE, report.meanse, report.meanse - offset,
-             report.predicted_meanse_residual),
-        ]
-        _append_csv_rows(args.csv, rows)
+        _write_csv(args.csv, SWEEP_HEADER,
+                   _report_rows(args.n, args.method, report, mt.METRICS), append=True)
     if args.check:
         return _run_checks("metrics", _metric_checks(args.method, args.n, report))
     return EXIT_OK
@@ -365,13 +352,9 @@ def cmd_bounds(args) -> int:
         pairs.append(("g_n_predicted", report.g_n_predicted))
     _print_table(pairs)
     if args.csv:
-        rows = [
-            (args.n, LOWER_BOUND_METHOD, "nuclear_lb", report.nuclear_lb,
-             report.nuclear_residual, bounds_mod.predicted_nuclear_residual()),
-            (args.n, LOWER_BOUND_METHOD, "mathias_lb", report.mathias_lb,
-             report.mathias_residual, bounds_mod.predicted_mathias_residual()),
-        ]
-        _append_csv_rows(args.csv, rows)
+        _write_csv(args.csv, SWEEP_HEADER,
+                   _report_rows(args.n, LOWER_BOUND_METHOD, report, BOUND_METRICS),
+                   append=True)
     if args.check:
         failures = []
         if args.n >= 2 and report.nuclear_lb < report.mathias_lb:
@@ -396,6 +379,8 @@ def _writable(path: str) -> bool:
 
 
 def cmd_sweep(args) -> int:
+    if args.threads < 1:
+        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
     known = set(fz.METHODS) | {LOWER_BOUND_METHOD}
@@ -444,7 +429,9 @@ def _sweep_checks(rows) -> list[str]:
     for n, method, metric, value, _residual, _predicted in rows:
         by_point.setdefault((method, n), {})[metric] = value
         sizes.add(n)
-    nuclear = {n: bounds_mod.nuclear_lower_bound(n) for n in sizes}
+    # A nuclear_lb row holds nuclear_lower_bound(n); compute only what is missing.
+    nuclear = {n: by_point.get((LOWER_BOUND_METHOD, n), {}).get("nuclear_lb")
+               or bounds_mod.nuclear_lower_bound(n) for n in sizes}
     for (method, n), values in sorted(by_point.items()):
         if method == LOWER_BOUND_METHOD:
             continue
@@ -499,15 +486,10 @@ def cmd_simulate(args) -> int:
         ("theory_err_2", result.theory_err_2),
     ] + z_summary)
     if args.csv:
-        new_file = not os.path.exists(args.csv)
-        with open(args.csv, "a", encoding="utf-8", newline="") as handle:
-            if new_file:
-                handle.write("n,method,mu,trials,seed,empirical_err_inf,"
-                             "empirical_err_2,theory_err_inf,theory_err_2\n")
-            handle.write(f"{args.n},{args.method},{_fmt(args.mu)},{args.trials},"
-                         f"{args.seed},{_fmt(result.empirical_err_inf)},"
-                         f"{_fmt(result.empirical_err_2)},{_fmt(result.theory_err_inf)},"
-                         f"{_fmt(result.theory_err_2)}\n")
+        _write_csv(args.csv, SIMULATE_HEADER, [(
+            args.n, args.method, args.mu, args.trials, args.seed,
+            result.empirical_err_inf, result.empirical_err_2,
+            result.theory_err_inf, result.theory_err_2)], append=True)
     if args.check:
         failures = []
         bound = 4.0 / math.sqrt(args.trials)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,8 +104,8 @@ def predicted_residual(method: str, metric: str) -> float:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """MaxSE/MeanSE of one (method, n), residuals, closed forms, and the
-    constants the residuals converge to."""
+    """MaxSE/MeanSE of one (method, n), residuals, and the constants the
+    residuals converge to.  The closed forms are computed on first read."""
 
     method: str
     n: int
@@ -112,10 +113,20 @@ class ErrorReport:
     meanse: float
     maxse_residual: float
     meanse_residual: float
-    closed_form_maxse: float | None
-    closed_form_meanse: float | None
     predicted_maxse_residual: float
     predicted_meanse_residual: float
+
+    @cached_property
+    def closed_form_maxse(self) -> float | None:
+        if self.method == SQRT:
+            return closed_form_maxse_sqrt(self.n)
+        if self.method == GROUP_ALGEBRA:
+            return closed_form_maxse_group_algebra(self.n)
+        return None
+
+    @property
+    def closed_form_meanse(self) -> float | None:
+        return self.closed_form_maxse if self.method == GROUP_ALGEBRA else None
 
 
 def error_report(
@@ -129,15 +140,6 @@ def error_report(
     offset = residual_offset(n)
     value_max = maxse(f)
     value_mean = meanse(f)
-    if method == SQRT:
-        cf_max: float | None = closed_form_maxse_sqrt(n)
-        cf_mean: float | None = None
-    elif method == GROUP_ALGEBRA:
-        cf_max = closed_form_maxse_group_algebra(n)
-        cf_mean = cf_max
-    else:
-        cf_max = None
-        cf_mean = None
     return ErrorReport(
         method=method,
         n=n,
@@ -145,8 +147,6 @@ def error_report(
         meanse=value_mean,
         maxse_residual=value_max - offset,
         meanse_residual=value_mean - offset,
-        closed_form_maxse=cf_max,
-        closed_form_meanse=cf_mean,
         predicted_maxse_residual=predicted_residual(method, MAXSE),
         predicted_meanse_residual=predicted_residual(method, MEANSE),
     )

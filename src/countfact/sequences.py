@@ -134,13 +134,27 @@ class CoefficientTable:
     alpha : ndarray, shape (n,)
         alpha_m = sum_{j<m} r_j^2 - log(m)/pi at index m - 1; strictly
         increasing within [1, 1.0663].
+
+    rtilde and alpha are computed on first read; the square-root
+    factorization needs neither.
     """
 
     n: int
     r: np.ndarray
-    rtilde: np.ndarray
     d_sq: np.ndarray
-    alpha: np.ndarray
+
+    @functools.cached_property
+    def rtilde(self) -> np.ndarray:
+        rtilde = _inverse_from_wallis(self.r)
+        rtilde.setflags(write=False)
+        return rtilde
+
+    @functools.cached_property
+    def alpha(self) -> np.ndarray:
+        m = np.arange(1, self.n + 1, dtype=np.float64)
+        alpha = self.d_sq[::-1] - np.log(m) / math.pi
+        alpha.setflags(write=False)
+        return alpha
 
 
 @functools.lru_cache(maxsize=2)
@@ -148,18 +162,15 @@ def coefficient_table(n: int) -> CoefficientTable:
     """Build (and memoize) the coefficient table at size n.
 
     The table is immutable and safe to share across threads.  The cache
-    holds the two most recent sizes, 32n bytes each, because a sweep point
-    looks its size up at most twice; rebuilding an evicted size costs O(n).
+    holds the two most recent sizes, 16n bytes each (32n once rtilde and
+    alpha are read), because a sweep point looks its size up at most twice;
+    rebuilding an evicted size costs O(n).
     """
     r = wallis_coeffs(n)
-    rtilde = _inverse_from_wallis(r)
-    prefix = _compensated_cumsum(r * r)
-    d_sq = prefix[::-1].copy()
-    m = np.arange(1, n + 1, dtype=np.float64)
-    alpha = prefix - np.log(m) / math.pi
-    for arr in (r, rtilde, d_sq, alpha):
+    d_sq = _compensated_cumsum(r * r)[::-1].copy()
+    for arr in (r, d_sq):
         arr.setflags(write=False)
-    return CoefficientTable(n=n, r=r, rtilde=rtilde, d_sq=d_sq, alpha=alpha)
+    return CoefficientTable(n=n, r=r, d_sq=d_sq)
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from countfact import bounds
 from countfact import (
     CONSTANTS,
+    METHODS,
     bound_report,
     cosecant_average,
     counting_matrix,
+    error_report,
     log_product_average,
     mathias_lower_bound,
     nuclear_lower_bound,
@@ -115,3 +120,31 @@ class TestBoundReport:
         report = bound_report(1)
         assert report.g_n is None
         assert report.g_n_predicted is None
+
+    def test_cosecant_average_computed_once_on_first_read(self, monkeypatch):
+        calls = []
+        original = bounds.cosecant_average
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(bounds, "cosecant_average", counted)
+        report = bound_report(64)
+        assert calls == []
+        assert (report.g_n, report.g_n_predicted) == original(64)
+        assert (report.g_n, report.g_n_predicted) == original(64)
+        assert calls == [64]
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(min_value=1, max_value=4096))
+@example(n=1)
+@example(n=4096)
+def test_nuclear_below_meanse_below_maxse(method, n):
+    """No factorization beats the nuclear bound, and the mean error never
+    exceeds the worst; 1e-12 absorbs rounding where they meet (n = 1)."""
+    report = error_report(method, n)
+    assert nuclear_lower_bound(n) <= report.meanse * (1 + 1e-12)
+    assert report.meanse <= report.maxse * (1 + 1e-12)

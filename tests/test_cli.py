@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface (invoked in-process)."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from countfact import bounds as bounds_mod
 from countfact import cli
 from countfact.cli import main
 
@@ -198,6 +200,119 @@ class TestSweep:
                                "--out", str(path), "--check", "--threads", "2")
         assert code == 0
         assert "CHECK OK" in out
+
+
+    @pytest.mark.parametrize("threads", ["0", "-5"])
+    def test_threads_below_one_exits_2_before_computing(self, capsys, tmp_path,
+                                                        monkeypatch, threads):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sweep computed with fewer than one thread")
+
+        monkeypatch.setattr(cli, "sweep_rows", must_not_run)
+        path = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "sweep", "--threads", threads,
+                                 "--out", str(path))
+        assert code == 2
+        assert "--threads" in err
+        assert out == ""
+        assert not path.exists()
+
+    @pytest.mark.parametrize("metrics", ["maxse,meanse,nuclear_lb,mathias_lb",
+                                         "maxse"])
+    def test_check_computes_one_nuclear_bound_per_size(self, capsys, tmp_path,
+                                                       monkeypatch, metrics):
+        calls = []
+        original = bounds_mod.nuclear_lower_bound
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(bounds_mod, "nuclear_lower_bound", counted)
+        code, out, _ = run_cli(capsys, "sweep", "--metrics", metrics,
+                               "--out", str(tmp_path / "sweep.csv"), "--check")
+        assert code == 0
+        assert "CHECK OK [sweep]" in out
+        assert sorted(calls) == cli.sweep_sizes(4, 8192, geometric=True)
+
+
+class TestSweepComputesOnlyWhatItWrites:
+    def test_csv_unchanged_without_closed_forms_or_g_n(self, capsys, tmp_path,
+                                                       monkeypatch):
+        plain = tmp_path / "plain.csv"
+        assert run_cli(capsys, "sweep", "--out", str(plain))[0] == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep computed a value it does not write")
+
+        for name in ("countfact.metrics.closed_form_maxse_sqrt",
+                     "countfact.metrics.closed_form_maxse_group_algebra",
+                     "countfact.bounds.cosecant_average"):
+            monkeypatch.setattr(name, refuse)
+        patched = tmp_path / "patched.csv"
+        assert run_cli(capsys, "sweep", "--out", str(patched))[0] == 0
+        assert patched.read_bytes() == plain.read_bytes()
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("metrics", "--method", "sqrt", "--n", "64"),
+         {"closed_form_maxse": "2.3888481082954347"}),
+        (("metrics", "--method", "group-algebra", "--n", "64"),
+         {"closed_form_maxse": "2.3050803403564499",
+          "closed_form_meanse": "2.3050803403564499"}),
+        (("bounds", "--n", "64"),
+         {"g_n": "2.7275863232920594", "g_n_predicted": "2.7276076279819259"}),
+    ], ids=["sqrt", "group-algebra", "bounds"])
+    def test_metrics_and_bounds_still_print_them(self, capsys, argv, expected):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        table = dict(line.split() for line in out.splitlines())
+        assert {name: table.get(name) for name in expected} == expected
+
+
+class TestCsvWriter:
+    """The CSV files are byte for byte those of the per-command writers the
+    one writer replaced."""
+
+    def test_coeffs(self, capsys, tmp_path):
+        path = tmp_path / "coeffs.csv"
+        assert run_cli(capsys, "coeffs", "--n", "1000", "--csv", str(path))[0] == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f3878c980c54d7e6384e4999faeeea5a55c09d9643d4639f0f23a2cef44ad3b6")
+
+    def test_metrics_and_bounds_append_under_one_header(self, capsys, tmp_path):
+        path = tmp_path / "rows.csv"
+        for argv in (("metrics", "--method", "sqrt", "--n", "64"),
+                     ("metrics", "--method", "nsr", "--n", "64"),
+                     ("bounds", "--n", "1"),
+                     ("bounds", "--n", "5")):
+            assert run_cli(capsys, *argv, "--csv", str(path))[0] == 0
+        assert path.read_text() == (
+            "n,method,metric,value,residual,predicted_residual\n"
+            "64,sqrt,maxse,2.3888481082954347,1.0650345073795251,1.0662758532089143\n"
+            "64,sqrt,meanse,2.2296764715813904,0.90586287066548077,0.9071209101170189\n"
+            "64,nsr,maxse,2.2117689433623644,0.8879553424464548,0.84564025305626267\n"
+            "64,nsr,meanse,2.1277017443554116,0.80388814343950199,0.74796596702512363\n"
+            "1,lower-bound,nuclear_lb,1.0000000000000002,1.0000000000000002,"
+            "0.70189701353300815\n"
+            "1,lower-bound,mathias_lb,1,1,0.4812614133803565\n"
+            "5,lower-bound,nuclear_lb,1.3191867072850822,0.80688670855830613,"
+            "0.70189701353300815\n"
+            "5,lower-bound,mathias_lb,1.1933126291998988,0.68101263047312266,"
+            "0.4812614133803565\n")
+
+    def test_simulate_appends_under_one_header(self, capsys, tmp_path):
+        path = tmp_path / "sim.csv"
+        for argv in (("--method", "nsr", "--seed", "1"),
+                     ("--method", "sqrt", "--seed", "2", "--mu", "0.5")):
+            assert run_cli(capsys, "simulate", "--n", "64", "--trials", "20", *argv,
+                           "--csv", str(path))[0] == 0
+        assert path.read_text() == (
+            "n,method,mu,trials,seed,empirical_err_inf,empirical_err_2,"
+            "theory_err_inf,theory_err_2\n"
+            "64,nsr,1,20,1,2.8916046209078097,2.1274254609308785,"
+            "2.2117689433623644,2.1277017443554116\n"
+            "64,sqrt,0.5,20,2,6.6330534929649065,5.135732293261448,"
+            "4.7776962165908694,4.4593529431627807\n")
 
 
 class TestCsvPaths:

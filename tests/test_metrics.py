@@ -26,6 +26,7 @@ from countfact import (
     residual_offset,
     sqrt_factorization,
 )
+from countfact import metrics
 from countfact.factorizations import to_dense
 from countfact.sequences import CONSTANTS
 
@@ -157,6 +158,23 @@ class TestErrorReport:
         ga_report = error_report(GROUP_ALGEBRA, 8)
         assert ga_report.closed_form_maxse == closed_form_maxse_group_algebra(8)
         assert ga_report.closed_form_meanse == ga_report.closed_form_maxse
+
+    def test_closed_form_computed_once_on_first_read(self, monkeypatch):
+        calls = []
+        original = metrics.closed_form_maxse_group_algebra
+
+        def counted(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(metrics, "closed_form_maxse_group_algebra", counted)
+        report = error_report(GROUP_ALGEBRA, 64)
+        assert calls == []
+        first = report.closed_form_maxse
+        assert first == original(64)
+        assert report.closed_form_maxse is first
+        assert report.closed_form_meanse is first
+        assert calls == [64]
 
     def test_nsr_maxse_approach_is_monotone(self):
         # |residual - limit| shrinks along 2^8..2^14, up to a 1e-3 floor.

@@ -15,6 +15,7 @@ from countfact import (
     EULER_GAMMA,
     coefficient_table,
     column_norms_sq,
+    error_report,
     inverse_coeffs,
     landau_alpha,
     wallis_coeffs,
@@ -122,6 +123,20 @@ class TestCoefficientTable:
         sizes = [2**k for k in range(2, 17)]
         sweep_rows(("sqrt", "nsr"), ("maxse", "meanse"), sizes, threads=4)
         assert coefficient_table.cache_info().currsize <= 2
+
+    def test_rtilde_and_alpha_computed_on_first_read(self):
+        coefficient_table.cache_clear()
+        error_report("sqrt", 64)
+        error_report("group-algebra", 64)
+        table = coefficient_table(64)
+        assert "rtilde" not in vars(table) and "alpha" not in vars(table)
+        m = np.arange(1, 65, dtype=np.float64)
+        expected = _compensated_cumsum(table.r * table.r) - np.log(m) / math.pi
+        assert np.array_equal(table.alpha, expected)
+        assert table.alpha is table.alpha and table.rtilde is table.rtilde
+        for arr in (table.rtilde, table.alpha):
+            with pytest.raises(ValueError):
+                arr[0] = 2.0
 
     def test_consistent_with_operations(self):
         table = coefficient_table(50)
