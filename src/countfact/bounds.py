@@ -56,32 +56,19 @@ def cosecant_average(n: int) -> tuple[float, float]:
     return value, predicted
 
 
-def log_product_average(n: int) -> tuple[float, float]:
-    """(1/n) sum_{j=1..n} log(j) log(n + 1 - j), with its prediction.
-
-    Returns (value, predicted) where predicted = log^2 n - 2 log n + 2 -
-    pi^2 / 6.
-    """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    j = np.arange(1, n + 1, dtype=np.float64)
-    value = math.fsum(np.log(j) * np.log(n + 1 - j)) / n
-    log_n = math.log(n)
-    predicted = log_n * log_n - 2.0 * log_n + 2.0 - math.pi * math.pi / 6.0
-    return value, predicted
-
-
 @dataclass(frozen=True)
 class BoundReport:
-    """Both lower bounds at one n and their residuals against log(n)/pi.
-    The cosecant average G(n) and its prediction (None when n < 2) are
-    computed on first read."""
+    """Both lower bounds at one n, their residuals against log(n)/pi, and
+    the constants the residuals converge to.  The cosecant average G(n) and
+    its prediction (None when n < 2) are computed on first read."""
 
     n: int
     nuclear_lb: float
     mathias_lb: float
     nuclear_residual: float
     mathias_residual: float
+    predicted_nuclear_residual: float
+    predicted_mathias_residual: float
 
     @cached_property
     def _cosecant_average(self) -> tuple[float | None, float | None]:
@@ -106,12 +93,6 @@ def bound_report(n: int) -> BoundReport:
         mathias_lb=mathias,
         nuclear_residual=nuclear - offset,
         mathias_residual=mathias - offset,
+        predicted_nuclear_residual=CONSTANTS.lb_const,
+        predicted_mathias_residual=CONSTANTS.mathias_lb_const,
     )
-
-
-def predicted_nuclear_residual() -> float:
-    return CONSTANTS.lb_const
-
-
-def predicted_mathias_residual() -> float:
-    return CONSTANTS.mathias_lb_const

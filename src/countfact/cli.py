@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import math
 import os
 import sys
@@ -21,7 +22,7 @@ from . import factorizations as fz
 from . import metrics as mt
 from .mechanism import MechanismConfig, estimate_errors
 from .sequences import coefficient_table
-from .structmat import counting_matrix
+from .structmat import DENSE_BUDGET, counting_matrix
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -33,6 +34,10 @@ SIMULATE_HEADER = ("n", "method", "mu", "trials", "seed", "empirical_err_inf",
 BOUND_METRICS = ("nuclear_lb", "mathias_lb")
 LOWER_BOUND_METHOD = "lower-bound"  # method column for bound rows
 
+# Chance that one z-statistic test of simulate --check fails on correct
+# code, whatever n: the union bound splits it over the n coordinates.
+CHECK_FALSE_ALARM = 1e-6
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -43,6 +48,16 @@ def _print_table(pairs) -> None:
     for name, value in pairs:
         text = _fmt(value) if isinstance(value, float) else str(value)
         print(f"{name:<{width}}  {text}")
+
+
+def _print_report(report, extras) -> None:
+    """A report's fields, then each extra (computed on first read) that is
+    not None."""
+    pairs = [(field.name, getattr(report, field.name))
+             for field in dataclasses.fields(report)]
+    pairs += [(name, getattr(report, name)) for name in extras
+              if getattr(report, name) is not None]
+    _print_table(pairs)
 
 
 def _run_checks(label: str, failures: list[str]) -> int:
@@ -78,10 +93,8 @@ def sweep_sizes(n_min: int, n_max: int, geometric: bool) -> list[int]:
 _ROW_GETTERS = {
     mt.MAXSE: lambda r: (r.maxse, r.maxse_residual, r.predicted_maxse_residual),
     mt.MEANSE: lambda r: (r.meanse, r.meanse_residual, r.predicted_meanse_residual),
-    "nuclear_lb": lambda r: (r.nuclear_lb, r.nuclear_residual,
-                             bounds_mod.predicted_nuclear_residual()),
-    "mathias_lb": lambda r: (r.mathias_lb, r.mathias_residual,
-                             bounds_mod.predicted_mathias_residual()),
+    "nuclear_lb": lambda r: (r.nuclear_lb, r.nuclear_residual, r.predicted_nuclear_residual),
+    "mathias_lb": lambda r: (r.mathias_lb, r.mathias_residual, r.predicted_mathias_residual),
 }
 
 
@@ -264,8 +277,8 @@ def _dump_paths(prefix: str) -> tuple[str, str]:
 
 
 def cmd_factorize(args) -> int:
-    if args.dump and args.n > fz.DENSE_BUDGET:
-        raise UsageError(f"--dump needs n <= {fz.DENSE_BUDGET}")
+    if args.dump and args.n > DENSE_BUDGET:
+        raise UsageError(f"--dump needs n <= {DENSE_BUDGET}")
     f = fz.factorize(args.method, args.n)
     report = mt.error_report(args.method, args.n, factorization=f)
     _print_table([
@@ -284,35 +297,23 @@ def cmd_factorize(args) -> int:
             print(f"wrote {path}")
     if args.check:
         failures = []
-        if args.n <= fz.DENSE_BUDGET:
+        if args.n <= DENSE_BUDGET:
             deviation = fz.verify_reconstruction(f)
             if deviation > 1e-9:
                 failures.append(f"reconstruction deviates by {deviation:.3e}")
-        if args.method == fz.NSR:
-            gap = np.abs(f.col_norms_sq_right - 1.0).max()
-            if gap > 1e-12:
-                failures.append(f"right-factor columns deviate from unit norm by {gap:.3e}")
+            if args.method == fz.NSR:
+                right = fz.to_dense(f.right)
+                gap = np.abs(np.einsum("jk,jk->k", right, right) - 1.0).max()
+                if gap > 1e-12:
+                    failures.append(
+                        f"right-factor columns deviate from unit norm by {gap:.3e}")
         return _run_checks("factorize", failures)
     return EXIT_OK
 
 
 def cmd_metrics(args) -> int:
     report = mt.error_report(args.method, args.n)
-    pairs = [
-        ("method", report.method),
-        ("n", report.n),
-        ("maxse", report.maxse),
-        ("meanse", report.meanse),
-        ("maxse_residual", report.maxse_residual),
-        ("meanse_residual", report.meanse_residual),
-        ("predicted_maxse_residual", report.predicted_maxse_residual),
-        ("predicted_meanse_residual", report.predicted_meanse_residual),
-    ]
-    if report.closed_form_maxse is not None:
-        pairs.append(("closed_form_maxse", report.closed_form_maxse))
-    if report.closed_form_meanse is not None:
-        pairs.append(("closed_form_meanse", report.closed_form_meanse))
-    _print_table(pairs)
+    _print_report(report, ("closed_form_maxse", "closed_form_meanse"))
     if args.csv:
         _write_csv(args.csv, SWEEP_HEADER,
                    _report_rows(args.n, args.method, report, mt.METRICS), append=True)
@@ -338,19 +339,7 @@ def _metric_checks(method: str, n: int, report) -> list[str]:
 
 def cmd_bounds(args) -> int:
     report = bounds_mod.bound_report(args.n)
-    pairs = [
-        ("n", report.n),
-        ("nuclear_lb", report.nuclear_lb),
-        ("mathias_lb", report.mathias_lb),
-        ("nuclear_residual", report.nuclear_residual),
-        ("mathias_residual", report.mathias_residual),
-        ("predicted_nuclear_residual", bounds_mod.predicted_nuclear_residual()),
-        ("predicted_mathias_residual", bounds_mod.predicted_mathias_residual()),
-    ]
-    if report.g_n is not None:
-        pairs.append(("g_n", report.g_n))
-        pairs.append(("g_n_predicted", report.g_n_predicted))
-    _print_table(pairs)
+    _print_report(report, ("g_n", "g_n_predicted"))
     if args.csv:
         _write_csv(args.csv, SWEEP_HEADER,
                    _report_rows(args.n, LOWER_BOUND_METHOD, report, BOUND_METRICS),
@@ -492,12 +481,11 @@ def cmd_simulate(args) -> int:
             result.theory_err_inf, result.theory_err_2)], append=True)
     if args.check:
         failures = []
-        bound = 4.0 / math.sqrt(args.trials)
-        spread = 5.0 / math.sqrt(args.trials)
         if np.isfinite(result.z_mean).all():
-            if np.abs(result.z_mean).max() >= bound:
+            mean_bound, var_low, var_high = _z_bands(args.trials, args.n)
+            if np.abs(result.z_mean).max() >= mean_bound:
                 failures.append("standardized deviations have biased mean")
-            if result.z_var.min() <= 1 - spread or result.z_var.max() >= 1 + spread:
+            if result.z_var.min() <= var_low or result.z_var.max() >= var_high:
                 failures.append("standardized deviations have off-unit variance")
         rerun = estimate_errors(cfg)
         if (rerun.empirical_err_inf != result.empirical_err_inf
@@ -505,6 +493,29 @@ def cmd_simulate(args) -> int:
             failures.append("rerun with the identical seed was not bit-identical")
         return _run_checks("simulate", failures)
     return EXIT_OK
+
+
+def _z_bands(trials: int, n: int) -> tuple[float, float, float]:
+    """Bound on max |z_mean| and the open range for z_var that correct code
+    leaves, each with probability at least 1 - CHECK_FALSE_ALARM.
+
+    Each coordinate's standardized deviations are independent N(0, 1)
+    draws across the T trials, so z_mean ~ N(0, 1/T) and T z_var ~
+    chi^2_{T-1}, whatever the correlation between coordinates.  The union
+    bound over n coordinates and two tails leaves CHECK_FALSE_ALARM / 2n to
+    each tail.  The chi-squared quantiles use the Wilson-Hilferty cube-root
+    normal approximation; with one trial z_var is 0 and is not tested.
+    """
+    import statistics  # here, not at the top: it adds ~5 ms to every start-up
+
+    z = statistics.NormalDist().inv_cdf(1.0 - CHECK_FALSE_ALARM / (2 * n))
+    df = trials - 1
+    if df == 0:
+        return z / math.sqrt(trials), -math.inf, math.inf
+    c = 2.0 / (9.0 * df)
+    low, high = (df / trials * (1.0 - c + sign * z * math.sqrt(c)) ** 3
+                 for sign in (-1.0, 1.0))
+    return z / math.sqrt(trials), low, high
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .sequences import coefficient_table
 from .structmat import (
     LowerTriangularToeplitz,
     RealConvolution,
+    circulant_block,
     circulant_extension_spectrum,
     circulant_first_column,
     circulant_sqrt,
@@ -34,9 +35,6 @@ SQRT = "sqrt"
 NSR = "nsr"
 GROUP_ALGEBRA = "group-algebra"
 METHODS = (SQRT, NSR, GROUP_ALGEBRA)
-
-# Largest n for which dense n x n factors are ever materialized.
-DENSE_BUDGET = 4096
 
 
 class ColumnScaled:
@@ -64,21 +62,6 @@ class ColumnScaled:
     def to_dense(self) -> np.ndarray:
         return self.base.to_dense() / self.scale
 
-    def row_norms_sq(self) -> np.ndarray:
-        n = self.n
-        out = np.zeros(n)
-        for k in range(n):
-            col = self.base.col[: n - k] / self.scale[k]
-            out[k:] += col * col
-        return out
-
-    def col_norms_sq(self) -> np.ndarray:
-        # Unit columns by construction: scale[k] is exactly the k-th column norm.
-        return np.ones(self.n)
-
-    def frobenius_sq(self) -> float:
-        return float(self.n)
-
 
 class NsrLeft(RealConvolution):
     """Left factor M D C^{-1} of the normalized square root, unmaterialized.
@@ -86,17 +69,14 @@ class NsrLeft(RealConvolution):
     ``col`` is rtilde, the first column of C^{-1}.  Column k (0-based) is
     the running prefix sum of rtilde[t] * d[k + t], t = 0..n-1-k; the
     diagonal entry is d[k].  Its row norms come from nsr_row_norms_sq in
-    O(n log n) time and O(n) memory.  The dense form is built only on
-    explicit request and refuses sizes above DENSE_BUDGET (n = 2**14 would
-    already need 2.7e8 entries).
+    O(n log n) time and O(n) memory.
     """
 
-    __slots__ = ("d", "_row_norms_sq")
+    __slots__ = ("d",)
 
-    def __init__(self, rtilde: np.ndarray, d: np.ndarray, row_norms_sq: np.ndarray):
+    def __init__(self, rtilde: np.ndarray, d: np.ndarray):
         super().__init__(rtilde)
         self.d = d
-        self._row_norms_sq = row_norms_sq
 
     @property
     def n(self) -> int:
@@ -110,27 +90,11 @@ class NsrLeft(RealConvolution):
         return np.cumsum(self.d * self._convolve(y)[: self.n])
 
     def to_dense(self) -> np.ndarray:
-        n = self.n
-        if n > DENSE_BUDGET:
-            raise ValueError(f"refusing dense {n} x {n} factor (budget {DENSE_BUDGET})")
-        dense = np.zeros((n, n))
-        for k in range(n):
-            dense[k:, k] = np.cumsum(self.col[: n - k] * self.d[k:])
+        # Column k of C^{-1} holds rtilde[: n - k] from row k down.
+        dense = LowerTriangularToeplitz(self.col).to_dense()
+        for k in range(self.n):
+            dense[k:, k] = np.cumsum(dense[k:, k] * self.d[k:])
         return dense
-
-    def row_norms_sq(self) -> np.ndarray:
-        return self._row_norms_sq
-
-    def col_norms_sq(self) -> np.ndarray:
-        n = self.n
-        out = np.empty(n)
-        for k in range(n):
-            col = np.cumsum(self.col[: n - k] * self.d[k:])
-            out[k] = np.dot(col, col)
-        return out
-
-    def frobenius_sq(self) -> float:
-        return float(np.sum(self._row_norms_sq))
 
 
 class CirculantSlice:
@@ -139,9 +103,8 @@ class CirculantSlice:
     The full circulant has entry (j, k) = col[(j - k) mod 2n]; ``left``
     keeps the first n rows (n x 2n), ``right`` the first n columns
     (2n x n).  Every row and every column of the full circulant has the
-    same squared norm, sum(col**2), so the sliced-off side inherits equal
-    norms too.  Both slices of one circulant share one length-2n kernel,
-    and so one spectrum.
+    same squared norm, sum(col**2).  Both slices of one circulant share one
+    length-2n kernel, and so one spectrum.
     """
 
     __slots__ = ("kernel", "side")
@@ -155,11 +118,6 @@ class CirculantSlice:
     @property
     def col(self) -> np.ndarray:
         return self.kernel.col
-
-    @property
-    def _spectrum(self):
-        # None until either slice is first applied.
-        return self.kernel._spectrum
 
     @property
     def m(self) -> int:
@@ -179,37 +137,7 @@ class CirculantSlice:
         return out[: self.n] if self.side == "left" else out
 
     def to_dense(self) -> np.ndarray:
-        j = np.arange(self.m)
-        full = self.col[(j[:, None] - j[None, :]) % self.m]
-        return full[: self.n, :] if self.side == "left" else full[:, : self.n]
-
-    def _window_sums(self) -> np.ndarray:
-        # Sums of col**2 over every circular window of length n.
-        sq = self.col * self.col
-        prefix = np.concatenate(([0.0], np.cumsum(np.concatenate((sq, sq)))))
-        starts = np.arange(self.m)
-        return prefix[starts + self.n] - prefix[starts]
-
-    def row_norms_sq(self) -> np.ndarray:
-        full = float(np.dot(self.col, self.col))
-        if self.side == "left":
-            return np.full(self.n, full)
-        # Row j of the right slice covers lags j, j-1, .., j-n+1 (mod m).
-        windows = self._window_sums()
-        j = np.arange(self.m)
-        return windows[(j - self.n + 1) % self.m]
-
-    def col_norms_sq(self) -> np.ndarray:
-        full = float(np.dot(self.col, self.col))
-        if self.side == "right":
-            return np.full(self.n, full)
-        # Column k of the left slice covers lags -k, 1-k, .., n-1-k (mod m).
-        windows = self._window_sums()
-        k = np.arange(self.m)
-        return windows[(-k) % self.m]
-
-    def frobenius_sq(self) -> float:
-        return self.n * float(np.dot(self.col, self.col))
+        return circulant_block(self.col, self.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,8 +145,9 @@ class Factorization:
     """One explicit factorization with left @ right == counting_matrix(n).
 
     ``inner_dim`` is n for sqrt/nsr and 2n for group-algebra.  The norm
-    profiles are what the error metrics read; they agree with direct
-    recomputation from the entries.
+    profiles are the only ones kept: the error metrics and the simulator
+    read them, and the operators offer only apply and to_dense.  They agree
+    with direct recomputation from the dense factors.
     """
 
     method: str
@@ -329,7 +258,7 @@ def nsr_factorization(n: int) -> Factorization:
     d = np.sqrt(table.d_sq)
     right = ColumnScaled(LowerTriangularToeplitz(table.r), d)
     row_sq = nsr_row_norms_sq(n)
-    left = NsrLeft(table.rtilde, d, row_sq)
+    left = NsrLeft(table.rtilde, d)
     return Factorization(
         method=NSR,
         n=n,
@@ -392,10 +321,7 @@ def to_dense(mat) -> np.ndarray:
 def verify_reconstruction(factorization: Factorization) -> float:
     """Max-abs deviation of left @ right from the counting matrix.
 
-    Dense verification; refuses n above DENSE_BUDGET.
+    Dense verification: to_dense refuses n above DENSE_BUDGET.
     """
-    n = factorization.n
-    if n > DENSE_BUDGET:
-        raise ValueError(f"dense verification budget is n <= {DENSE_BUDGET}, got {n}")
     product = to_dense(factorization.left) @ to_dense(factorization.right)
-    return float(np.abs(product - counting_matrix(n)).max())
+    return float(np.abs(product - counting_matrix(factorization.n)).max())

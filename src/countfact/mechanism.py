@@ -84,16 +84,6 @@ def noise_scale(f: Factorization, mu: float) -> float:
     return sens / mu  # mu = inf gives exactly 0.0
 
 
-def run_mechanism_once(cfg: MechanismConfig, trial_index: int) -> np.ndarray:
-    """One mechanism output L(R x + sigma z), deterministic in
-    (seed, trial_index)."""
-    f = cfg.factorization
-    z = _generator(cfg.seed, trial_index).standard_normal(f.inner_dim)
-    sigma = noise_scale(f, cfg.mu)
-    encoded = f.right.apply(cfg.input)
-    return f.left.apply(encoded + sigma * z)
-
-
 def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
     """Monte-Carlo estimates of the worst-coordinate and mean errors.
 
@@ -133,8 +123,3 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
         z_mean=z_mean,
         z_var=z_var,
     )
-
-
-def exact_prefix_sums(x: np.ndarray) -> np.ndarray:
-    """Noiseless target M_count x."""
-    return np.cumsum(np.asarray(x, dtype=np.float64))

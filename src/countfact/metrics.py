@@ -23,28 +23,6 @@ def residual_offset(n: int) -> float:
     return math.log(n) / math.pi
 
 
-def _row_norms_sq(mat) -> np.ndarray:
-    if isinstance(mat, np.ndarray):
-        return np.einsum("jk,jk->j", mat, mat)
-    return mat.row_norms_sq()
-
-
-def _col_norms_sq(mat) -> np.ndarray:
-    if isinstance(mat, np.ndarray):
-        return np.einsum("jk,jk->k", mat, mat)
-    return mat.col_norms_sq()
-
-
-def max_row_norm(mat) -> float:
-    """Largest row l2 norm (the 2->inf operator norm)."""
-    return math.sqrt(float(np.max(_row_norms_sq(mat))))
-
-
-def max_col_norm(mat) -> float:
-    """Largest column l2 norm (the 1->2 operator norm)."""
-    return math.sqrt(float(np.max(_col_norms_sq(mat))))
-
-
 def maxse(f: Factorization) -> float:
     """Worst-coordinate error norm of the factorization at unit noise."""
     left = math.sqrt(float(np.max(f.row_norms_sq_left)))

@@ -1,6 +1,6 @@
 """Structured-matrix kernels: lower-triangular Toeplitz matrices stored by
-first column, circulant matrices stored by DFT eigenvalues, and the unitary
-transform connecting them."""
+first column, circulant matrices stored by DFT eigenvalues, and the one
+budgeted dense materialization of both."""
 
 from __future__ import annotations
 
@@ -10,6 +10,9 @@ from dataclasses import dataclass
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+# Largest n for which dense n x n factors are ever materialized.
+DENSE_BUDGET = 4096
 
 # Conjugate symmetry guarantees the circulant square root is real; any
 # imaginary residue below this is floating-point noise and gets truncated.
@@ -78,27 +81,7 @@ class LowerTriangularToeplitz(RealConvolution):
         return self._convolve(x)[: self.n]
 
     def to_dense(self) -> np.ndarray:
-        j = np.arange(self.n)
-        lag = j[:, None] - j[None, :]
-        return np.where(lag >= 0, self.col[np.maximum(lag, 0)], 0.0)
-
-    def row_norms_sq(self) -> np.ndarray:
-        return np.cumsum(self.col * self.col)
-
-    def col_norms_sq(self) -> np.ndarray:
-        return np.cumsum(self.col * self.col)[::-1].copy()
-
-    def frobenius_sq(self) -> float:
-        return float(np.sum(np.cumsum(self.col * self.col)))
-
-
-def ltt_multiply(
-    a: LowerTriangularToeplitz, b: LowerTriangularToeplitz
-) -> LowerTriangularToeplitz:
-    """Product of two lower-triangular Toeplitz matrices of the same size."""
-    if a.n != b.n:
-        raise ValueError(f"dimension mismatch: {a.n} != {b.n}")
-    return LowerTriangularToeplitz(np.convolve(a.col, b.col)[: a.n])
+        return circulant_block(np.concatenate((self.col, np.zeros(self.n))), self.shape)
 
 
 def counting_matrix(n: int) -> np.ndarray:
@@ -108,29 +91,13 @@ def counting_matrix(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n)))
 
 
-def dft(v, inverse: bool = False) -> np.ndarray:
-    """Unitary DFT with forward kernel exp(-2 pi i j k / m) / sqrt(m).
-
-    For even m = 2n this is the transform with (j, k) entry
-    omega^{-jk} / sqrt(2n), omega = exp(i pi / n).  Any internally
-    consistent sign convention yields identical norms; this one is fixed so
-    the circulant eigenvalue formulas below are unambiguous.  numpy's
-    pocketfft backend runs in O(m log m) at every length.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    if v.ndim != 1 or v.size == 0:
-        raise ValueError("input must be a nonempty 1-D array")
-    if inverse:
-        return np.fft.ifft(v, norm="ortho")
-    return np.fft.fft(v, norm="ortho")
-
-
 @dataclass(frozen=True)
 class CirculantSpectrum:
     """m x m circulant matrix stored as its DFT eigenvalues.
 
-    The matrix is F* diag(eigenvalues) F with F the unitary DFT above.  It
-    is real exactly when the eigenvalues are conjugate-symmetric,
+    The matrix is F* diag(eigenvalues) F with F the unitary DFT, whose
+    (j, k) entry is exp(-2 pi i j k / m) / sqrt(m); so the eigenvalues are
+    the unnormalized DFT (np.fft.fft) of the first column.  It is real exactly when the eigenvalues are conjugate-symmetric,
     lambda_k = conj(lambda_{m-k}) for k >= 1.
     """
 
@@ -187,14 +154,16 @@ def circulant_first_column(spec: CirculantSpectrum) -> np.ndarray:
     return col
 
 
-def circulant_dense(col: np.ndarray) -> np.ndarray:
-    """Dense m x m circulant with the given first column (small m only)."""
-    col = np.asarray(col)
-    m = col.size
-    j = np.arange(m)
-    return col[(j[:, None] - j[None, :]) % m]
+def circulant_block(col: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Top-left block of the given shape of the circulant with first column
+    col: entry (j, k) = col[(j - k) mod col.size].
 
-
-def spectrum_to_dense(spec: CirculantSpectrum) -> np.ndarray:
-    """Materialize F* diag(eigenvalues) F as a dense real matrix."""
-    return circulant_dense(circulant_first_column(spec))
+    A lower-triangular Toeplitz matrix is the n x n block of the circulant
+    of its column padded with n zeros.  A block whose smaller side exceeds
+    DENSE_BUDGET is refused before anything is allocated.
+    """
+    rows, cols = shape
+    if min(rows, cols) > DENSE_BUDGET:
+        raise ValueError(f"refusing dense {rows} x {cols} matrix (budget n <= {DENSE_BUDGET})")
+    lag = np.arange(rows)[:, None] - np.arange(cols)[None, :]
+    return col[lag % col.size]

@@ -9,19 +9,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from countfact import bounds
 from countfact import (
     CONSTANTS,
-    METHODS,
-    bound_report,
-    cosecant_average,
     counting_matrix,
     error_report,
-    log_product_average,
     mathias_lower_bound,
     nuclear_lower_bound,
     residual_offset,
 )
+from countfact import bounds
+from countfact.bounds import bound_report, cosecant_average
+from countfact.factorizations import METHODS
 
 
 class TestNuclearLowerBound:
@@ -96,16 +94,6 @@ class TestCosecantAverage:
         assert abs(odd - even) < 2e-2
 
 
-class TestLogProductAverage:
-    def test_trivial(self):
-        assert log_product_average(1)[0] == 0.0
-        assert log_product_average(2)[0] == 0.0
-
-    def test_prediction_converges(self):
-        value, predicted = log_product_average(10**5)
-        assert abs(value - predicted) < 0.05
-
-
 class TestBoundReport:
     def test_fields(self):
         report = bound_report(16)
@@ -115,6 +103,8 @@ class TestBoundReport:
         assert report.g_n == cosecant_average(16)[0]
         assert report.g_n_predicted == cosecant_average(16)[1]
         assert report.nuclear_lb >= report.mathias_lb
+        assert report.predicted_nuclear_residual == CONSTANTS.lb_const
+        assert report.predicted_mathias_residual == CONSTANTS.mathias_lb_const
 
     def test_n1_has_no_cosecant_average(self):
         report = bound_report(1)

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface (invoked in-process)."""
 
+import dataclasses
 import hashlib
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from countfact import bounds as bounds_mod
 from countfact import cli
+from countfact import factorizations as fz
 from countfact.cli import main
 
 
@@ -89,6 +91,24 @@ class TestFactorize:
         with pytest.raises(SystemExit) as excinfo:
             main(["factorize", "--method", "qr", "--n", "4"])
         assert excinfo.value.code == 2
+
+    def test_check_catches_non_unit_nsr_columns(self, capsys, monkeypatch):
+        # Both factors built with a perturbed column scale still multiply
+        # to the counting matrix; only the unit-column check can see it.
+        original = fz.factorize
+
+        def perturbed(method, n):
+            f = original(method, n)
+            d = f.right.scale * (1.0 + 1e-6)
+            return dataclasses.replace(f, left=fz.NsrLeft(f.left.col, d),
+                                       right=fz.ColumnScaled(f.right.base, d))
+
+        monkeypatch.setattr(fz, "factorize", perturbed)
+        code, _, err = run_cli(capsys, "factorize", "--method", "nsr", "--n", "64",
+                               "--check")
+        assert code == 1
+        assert "CHECK FAIL [factorize] right-factor columns deviate from unit norm" in err
+        assert "reconstruction" not in err
 
 
 class TestMetrics:
@@ -353,6 +373,30 @@ class TestSimulate:
                                "--check")
         assert code == 0
         assert "CHECK OK" in out
+
+    @pytest.mark.parametrize("method, n, trials, seed", [
+        *(("sqrt", 2048, 200, seed) for seed in range(1, 9)),
+        ("nsr", 256, 50, 3),
+    ])
+    def test_check_passes_at_large_n(self, capsys, method, n, trials, seed):
+        # Bounds that do not grow with n failed 5 of these 8 sqrt seeds.
+        code, out, err = run_cli(capsys, "simulate", "--method", method, "--n", str(n),
+                                 "--trials", str(trials), "--seed", str(seed), "--check")
+        assert (code, err) == (0, "")
+        assert "CHECK OK [simulate]" in out
+
+    def test_check_fails_on_wrong_row_norms(self, capsys, monkeypatch):
+        original = fz.factorize
+
+        def scaled(method, n):
+            f = original(method, n)
+            return dataclasses.replace(f, row_norms_sq_left=4.0 * f.row_norms_sq_left)
+
+        monkeypatch.setattr(fz, "factorize", scaled)
+        code, _, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "2048",
+                               "--trials", "200", "--seed", "1", "--check")
+        assert code == 1
+        assert "CHECK FAIL [simulate] standardized deviations have off-unit variance" in err
 
     def test_input_file(self, capsys, tmp_path):
         path = tmp_path / "x.csv"

@@ -2,6 +2,7 @@
 and high-precision direct evaluation of their defining formulas."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -10,22 +11,27 @@ import pytest
 from numpy.testing import assert_allclose
 
 from countfact import (
-    DENSE_BUDGET,
     GROUP_ALGEBRA,
     NSR,
     SQRT,
-    circulant_extension_spectrum,
-    circulant_sqrt,
     coefficient_table,
     counting_matrix,
     factorize,
-    group_algebra_factorization,
     nsr_factorization,
     nsr_row_norms_sq,
-    sqrt_factorization,
     verify_reconstruction,
 )
-from countfact.factorizations import ColumnScaled, _nsr_delta_q, to_dense
+from countfact.factorizations import (
+    METHODS,
+    CirculantSlice,
+    ColumnScaled,
+    NsrLeft,
+    _nsr_delta_q,
+    group_algebra_factorization,
+    sqrt_factorization,
+    to_dense,
+)
+from countfact.structmat import DENSE_BUDGET, circulant_extension_spectrum, circulant_sqrt
 
 # Sizes for the FFT kernel: 4097 is where 2n - 1 passes a power of two.
 KERNEL_SIZES = [1, 2, 3, 5, 64, 777, 4096, 4097]
@@ -174,8 +180,6 @@ class TestNsrFactorization:
         assert np.all(f.col_norms_sq_right == 1.0)
         dense = to_dense(f.right)
         assert np.abs((dense * dense).sum(axis=0) - 1.0).max() <= 1e-12
-        assert_allclose(f.right.row_norms_sq(), (dense * dense).sum(axis=1),
-                        rtol=1e-12)
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_entrywise_lower_bound(self, n):
@@ -290,10 +294,8 @@ class TestNsrFactorization:
         assert np.abs(f.left.apply(y) - expected).max() <= 1e-13 * np.abs(expected).max()
 
     def test_dense_budget_enforced(self):
-        from countfact.factorizations import NsrLeft
-
         m = DENSE_BUDGET + 1
-        oversized = NsrLeft(np.zeros(m), np.ones(m), np.ones(m))
+        oversized = NsrLeft(np.zeros(m), np.ones(m))
         with pytest.raises(ValueError):
             oversized.to_dense()
 
@@ -326,13 +328,6 @@ class TestGroupAlgebraFactorization:
         assert_allclose(f.row_norms_sq_left, left_rows, rtol=1e-12)
         assert_allclose(f.col_norms_sq_right, right_cols, rtol=1e-12)
 
-    def test_slice_norm_helpers_match_dense(self):
-        f = group_algebra_factorization(6)
-        left = to_dense(f.left)
-        right = to_dense(f.right)
-        assert_allclose(f.left.col_norms_sq(), (left * left).sum(axis=0), rtol=1e-12)
-        assert_allclose(f.right.row_norms_sq(), (right * right).sum(axis=1), rtol=1e-12)
-
     def test_apply_matches_dense(self):
         f = group_algebra_factorization(8)
         rng = np.random.default_rng(5)
@@ -362,7 +357,8 @@ class TestOperatorSpectrum:
         f = factorize(method, 64)
         rng = np.random.default_rng(0)
         ops = (f.left, f.right)  # one shared object for sqrt
-        kernels = [op.base if isinstance(op, ColumnScaled) else op for op in ops]
+        kernels = [op.base if isinstance(op, ColumnScaled)
+                   else op.kernel if isinstance(op, CirculantSlice) else op for op in ops]
         assert all(kernel._spectrum is None for kernel in kernels)
         for op, kernel in zip(ops, kernels):
             op.apply(rng.standard_normal(op.shape[1]))
@@ -374,8 +370,36 @@ class TestOperatorSpectrum:
         ops = (f.left, f.right) if first == "left" else (f.right, f.left)
         for op in ops:
             op.apply(np.ones(op.shape[1]))
-        assert f.left._spectrum is not None
-        assert f.left._spectrum is f.right._spectrum
+        assert f.left.kernel is f.right.kernel
+        assert f.left.kernel._spectrum is not None
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
+@pytest.mark.parametrize("method", METHODS)
+def test_stored_profiles_match_dense(method, n):
+    # The profiles stored on Factorization are the only ones the metrics and
+    # the simulator read; the dense factors are their oracle.
+    f = factorize(method, n)
+    left = to_dense(f.left)
+    right = to_dense(f.right)
+    assert f.row_norms_sq_left.shape == f.col_norms_sq_right.shape == (n,)
+    assert_allclose(f.row_norms_sq_left, np.einsum("jk,jk->j", left, left), rtol=1e-12)
+    assert_allclose(f.col_norms_sq_right, np.einsum("jk,jk->k", right, right), rtol=1e-12)
+    assert_allclose(f.frobenius_sq_left, np.einsum("jk,jk->", left, left), rtol=1e-12)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_to_dense_refuses_over_budget_before_allocating(method):
+    f = factorize(method, DENSE_BUDGET + 1)
+    for op in (f.left, f.right):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                op.to_dense()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the dense factor would take 134 MB or more
 
 
 class TestReconstruction:

@@ -2,60 +2,27 @@
 
 import math
 
-import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from countfact import (
+    CONSTANTS,
     GROUP_ALGEBRA,
-    MAXSE,
-    MEANSE,
     NSR,
     SQRT,
     closed_form_maxse_group_algebra,
     closed_form_maxse_sqrt,
     error_report,
     factorize,
-    max_col_norm,
-    max_row_norm,
     maxse,
     meanse,
     nsr_factorization,
     nuclear_lower_bound,
-    predicted_residual,
     residual_offset,
-    sqrt_factorization,
 )
 from countfact import metrics
-from countfact.factorizations import to_dense
-from countfact.sequences import CONSTANTS
-
-
-class TestOperatorNorms:
-    def test_identity(self):
-        assert max_row_norm(np.eye(3)) == 1.0
-        assert max_col_norm(np.eye(3)) == 1.0
-
-    def test_nsr_left_n2(self):
-        f = nsr_factorization(2)
-        expected = math.sqrt((10.0 - 2.0 * math.sqrt(5.0)) / 4.0)
-        assert_allclose(max_row_norm(f.left), expected, rtol=1e-12)
-        assert abs(max_row_norm(f.left) - 1.17557) < 1e-5
-
-    def test_nsr_right_is_unit(self):
-        for n in (1, 2, 17, 64):
-            assert max_col_norm(nsr_factorization(n).right) == 1.0
-
-    def test_sqrt_column_norms(self):
-        assert_allclose(max_col_norm(sqrt_factorization(2).right), math.sqrt(1.25),
-                        rtol=1e-15)
-        assert_allclose(max_col_norm(sqrt_factorization(4).right),
-                        math.sqrt(1.48828125), rtol=1e-15)
-
-    def test_handles_and_arrays_agree(self):
-        f = factorize(GROUP_ALGEBRA, 8)
-        assert_allclose(max_row_norm(f.left), max_row_norm(to_dense(f.left)), rtol=1e-12)
-        assert_allclose(max_col_norm(f.right), max_col_norm(to_dense(f.right)), rtol=1e-12)
+from countfact.factorizations import sqrt_factorization
+from countfact.metrics import MAXSE, MEANSE, predicted_residual
 
 
 class TestMaxseMeanse:

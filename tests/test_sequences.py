@@ -10,18 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from countfact import (
-    CONSTANTS,
+from countfact import CONSTANTS, coefficient_table, error_report, landau_alpha
+from countfact.cli import sweep_rows
+from countfact.sequences import (
     EULER_GAMMA,
-    coefficient_table,
+    _compensated_cumsum,
     column_norms_sq,
-    error_report,
     inverse_coeffs,
-    landau_alpha,
     wallis_coeffs,
 )
-from countfact.cli import sweep_rows
-from countfact.sequences import _compensated_cumsum
 
 
 def exact_coeff(k: int) -> Fraction:

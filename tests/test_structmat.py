@@ -1,5 +1,5 @@
 """Tests for the structured-matrix kernels, with dense matmul and direct
-O(m^2) transform evaluation as oracles."""
+convolution as oracles."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from countfact import (
+from countfact.sequences import inverse_coeffs, wallis_coeffs
+from countfact.structmat import (
     CirculantSpectrum,
     LowerTriangularToeplitz,
     circulant_extension_spectrum,
     circulant_first_column,
     circulant_sqrt,
     counting_matrix,
-    dft,
-    inverse_coeffs,
-    ltt_multiply,
-    spectrum_to_dense,
-    wallis_coeffs,
 )
 
 
@@ -38,50 +34,40 @@ def assert_matches_convolve(col, x):
     assert np.abs(got - np.convolve(col, x)[:n]).max() <= 1e-14 * scale + 1e-300
 
 
-def direct_dft(v, inverse=False):
-    # O(m^2) evaluation straight from the kernel definition.
-    v = np.asarray(v, dtype=complex)
-    m = v.size
-    sign = 1.0 if inverse else -1.0
-    k = np.arange(m)
-    kernel = np.exp(sign * 2j * np.pi * np.outer(k, k) / m) / np.sqrt(m)
-    return kernel @ v
+def circulant(col):
+    # Dense m x m circulant with first column col, entry by entry.
+    m = col.size
+    return np.array([[col[(j - k) % m] for k in range(m)] for j in range(m)])
 
 
 def extension_pattern(n):
     # Dense 0/1 circulant extension: first column is n ones then n zeros.
-    col = np.concatenate((np.ones(n), np.zeros(n)))
-    m = 2 * n
-    j = np.arange(m)
-    return col[(j[:, None] - j[None, :]) % m]
+    return circulant(np.concatenate((np.ones(n), np.zeros(n))))
 
 
 class TestLowerTriangularToeplitz:
     def test_identity_column(self):
         eye = LowerTriangularToeplitz([1.0, 0.0, 0.0])
-        assert ltt_multiply(eye, eye).col.tolist() == [1.0, 0.0, 0.0]
+        assert np.array_equal(eye.to_dense(), np.eye(3))
 
     def test_square_root_squares_to_counting(self):
-        c = LowerTriangularToeplitz([1.0, 0.5, 0.375])
-        assert_allclose(ltt_multiply(c, c).col, [1.0, 1.0, 1.0], atol=1e-15)
+        c = LowerTriangularToeplitz([1.0, 0.5, 0.375]).to_dense()
+        assert_allclose(c @ c, counting_matrix(3), atol=1e-15)
 
     def test_inverse_column_gives_identity(self):
         n = 4
-        c = LowerTriangularToeplitz(wallis_coeffs(n))
-        c_inv = LowerTriangularToeplitz(inverse_coeffs(n))
-        product = ltt_multiply(c, c_inv).col
-        assert_allclose(product, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            ltt_multiply(LowerTriangularToeplitz([1.0]), LowerTriangularToeplitz([1.0, 0.0]))
+        c = LowerTriangularToeplitz(wallis_coeffs(n)).to_dense()
+        c_inv = LowerTriangularToeplitz(inverse_coeffs(n)).to_dense()
+        assert_allclose(c @ c_inv, np.eye(n), atol=1e-15)
 
     @pytest.mark.parametrize("n", [5, 32, 128])
     def test_multiply_matches_dense(self, n):
+        # The product is lower-triangular Toeplitz, with first column the
+        # truncated convolution of the factors' columns.
         rng = np.random.default_rng(n)
         a = LowerTriangularToeplitz(rng.standard_normal(n))
         b = LowerTriangularToeplitz(rng.standard_normal(n))
-        product = ltt_multiply(a, b).to_dense()
+        product = LowerTriangularToeplitz(np.convolve(a.col, b.col)[:n]).to_dense()
         assert np.abs(product - a.to_dense() @ b.to_dense()).max() <= 1e-11
 
     def test_apply_matches_dense(self):
@@ -115,38 +101,6 @@ class TestLowerTriangularToeplitz:
         assert np.array_equal(a.apply(y), LowerTriangularToeplitz(a.col).apply(y))
         assert a._spectrum is spectrum
 
-    def test_norm_profiles(self):
-        a = LowerTriangularToeplitz([3.0, 4.0])
-        assert a.row_norms_sq().tolist() == [9.0, 25.0]
-        assert a.col_norms_sq().tolist() == [25.0, 9.0]
-        assert a.frobenius_sq() == 34.0
-
-
-class TestDft:
-    def test_impulse(self):
-        assert_allclose(dft([1.0, 0.0, 0.0, 0.0]), np.full(4, 0.5 + 0j), atol=1e-15)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(11)
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        assert np.abs(dft(dft(v), inverse=True) - v).max() <= 1e-12
-
-    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6, 8, 12, 16])
-    def test_matches_direct_evaluation(self, m):
-        rng = np.random.default_rng(m)
-        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        assert np.abs(dft(v) - direct_dft(v)).max() <= 1e-10
-        assert np.abs(dft(v, inverse=True) - direct_dft(v, inverse=True)).max() <= 1e-10
-
-    def test_extension_first_column(self):
-        # n = 2: transform of (1,1,0,0) is proportional to (2, 1-i, 0, 1+i)
-        out = dft([1.0, 1.0, 0.0, 0.0])
-        assert_allclose(out, np.array([2.0, 1.0 - 1j, 0.0, 1.0 + 1j]) / 2.0, atol=1e-14)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            dft([])
-
 
 class TestCirculantExtension:
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
@@ -165,7 +119,7 @@ class TestCirculantExtension:
         spec = circulant_extension_spectrum(n)
         lam = spec.eigenvalues
         assert np.abs(lam[1:] - np.conj(lam[1:][::-1])).max() <= 1e-12
-        dense = spectrum_to_dense(spec)
+        dense = circulant(circulant_first_column(spec))
         assert np.abs(dense - extension_pattern(n)).max() <= 1e-9
         # top-left block is the counting matrix itself
         assert np.array_equal(extension_pattern(n)[:n, :n], counting_matrix(n))
@@ -194,7 +148,7 @@ class TestCirculantSqrt:
         root = circulant_sqrt(circulant_extension_spectrum(16))
         col = circulant_first_column(root)
         assert col.dtype == np.float64
-        dense = spectrum_to_dense(root)
+        dense = circulant(col)
         assert np.abs(dense @ dense - extension_pattern(16)).max() <= 1e-10
 
     def test_rejects_asymmetric_spectrum(self):
