@@ -4,7 +4,8 @@ asymptotics behind them.
 The singular values of the counting matrix are 1 / (2 sin((2j-1) pi / (4n+2)))
 for j = 1..n, so its nuclear norm over n is a pure cosecant sum; the same is
 true of the older spectral bound it improves on.  All sums here go through
-math.fsum, whose result does not depend on term ordering.
+metrics._cosecant_sum, one vectorized compensated sum that rounds the
+exact sum of its positive terms once.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sequences import CONSTANTS, EULER_GAMMA
-from .metrics import _odd_cosecant_sum, residual_offset
+from .sequences import CONSTANTS, EULER_GAMMA, check_size
+from .metrics import _cosecant_sum, _odd_cosecant_sum, residual_offset
 
 
 def nuclear_lower_bound(n: int) -> float:
@@ -24,11 +25,8 @@ def nuclear_lower_bound(n: int) -> float:
     counting matrix divided by n.  No factorization can beat it on either
     error norm.  Approaches log(n)/pi + (euler_gamma + log(16/pi))/pi.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    j = np.arange(1, n + 1)
-    terms = 1.0 / np.sin((2 * j - 1) * np.pi / (4 * n + 2))
-    return math.fsum(terms) / (2 * n)
+    n = check_size(n)
+    return _cosecant_sum(np.arange(1, 2 * n, 2), 4 * n + 2) / (2 * n)
 
 
 def mathias_lower_bound(n: int) -> float:
@@ -36,8 +34,7 @@ def mathias_lower_bound(n: int) -> float:
     Hadamard-multiplier bound.  Approaches log(n)/pi + (euler_gamma +
     log(8/pi))/pi, weaker than the nuclear bound for every n >= 2.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = check_size(n)
     return (n + 1) / (2.0 * n * n) * _odd_cosecant_sum(n)
 
 
@@ -48,10 +45,8 @@ def cosecant_average(n: int) -> tuple[float, float]:
     (2/pi) (log n + euler_gamma + log(2/pi)); the two agree up to a
     vanishing term as n grows.
     """
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    l = np.arange(1, n)
-    value = math.fsum(1.0 / np.sin(np.pi * l / n)) / n
+    n = check_size(n, 2)
+    value = _cosecant_sum(np.arange(1, n), n) / n
     predicted = (2.0 / math.pi) * (math.log(n) + EULER_GAMMA + math.log(2.0 / math.pi))
     return value, predicted
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import coefficient_table
+from .sequences import check_size, coefficient_table
 from .structmat import (
     LowerTriangularToeplitz,
     RealConvolution,
@@ -279,7 +279,8 @@ def group_algebra_factorization(n: int) -> Factorization:
     (respectively columns) of the resulting real circulant.  All rows of
     the left factor and all columns of the right factor share one norm.
     """
-    # Nested, so that the extension spectrum is freed before the ifft runs.
+    # Nested, so that each spectrum is freed as soon as the next step has
+    # read it (see circulant_first_column for the peak).
     col = circulant_first_column(circulant_sqrt(circulant_extension_spectrum(n)))
     kernel = RealConvolution(col, col.size)
     full = float(np.dot(col, col))
@@ -308,7 +309,7 @@ def factorize(method: str, n: int) -> Factorization:
         constructor = _CONSTRUCTORS[method]
     except KeyError:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}") from None
-    return constructor(n)
+    return constructor(check_size(n))
 
 
 def to_dense(mat) -> np.ndarray:

@@ -17,12 +17,25 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 # Hard-coded at 17 significant digits; no series evaluation needed.
 EULER_GAMMA = 0.5772156649015329
+
+
+def check_size(n, minimum: int = 1) -> int:
+    """n as a Python int, refused before any work unless it is an integer
+    (``operator.index``: 2.5 and 4.0 are refused) of at least ``minimum``."""
+    try:
+        size = operator.index(n)
+    except TypeError:
+        raise TypeError(f"n must be an integer, got {n!r}") from None
+    if size < minimum:
+        raise ValueError(f"n must be an integer >= {minimum}, got {size}")
+    return size
 
 
 def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
@@ -56,6 +69,31 @@ def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
     return p
 
 
+# Block length of _compensated_sum: its working arrays, 256 KiB each, stay
+# in cache.
+_SUM_BLOCK = 1 << 15
+
+
+def _compensated_sum(values: np.ndarray) -> float:
+    """Last prefix of _compensated_cumsum(values), bitwise, with working
+    arrays one block long instead of n.
+
+    Each block's running sum and running error sum start from the previous
+    block's last ones, which is the same sequential recursion.
+    """
+    x = np.asarray(values, dtype=np.float64)
+    total = error = 0.0
+    for start in range(0, x.size, _SUM_BLOCK):
+        block = x[start:start + _SUM_BLOCK]
+        p = np.cumsum(np.concatenate(([total], block)))
+        z = p[1:] - p[:-1]
+        e = p[:-1] - (p[1:] - z)
+        e += block - z
+        total = float(p[-1])
+        error = float(np.cumsum(np.concatenate(([error], e)))[-1])
+    return total + error
+
+
 def wallis_coeffs(n: int) -> np.ndarray:
     """First n Taylor coefficients of (1 - x)^(-1/2).
 
@@ -65,8 +103,7 @@ def wallis_coeffs(n: int) -> np.ndarray:
 
         1 / (pi (k + 4/pi - 1)) <= r_k^2 <= 1 / (pi (k + 1/4)),  k >= 1.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = check_size(n)
     k = np.arange(n, dtype=np.float64)
     factors = np.ones(n)
     factors[1:] = (2.0 * k[1:] - 1.0) / (2.0 * k[1:])
@@ -110,8 +147,7 @@ def landau_alpha(n: int) -> float:
     Monotonically increasing in n with limit (EULER_GAMMA + log 16) / pi;
     the gap to the limit is positive and at most 1/(5n).
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = check_size(n)
     r = wallis_coeffs(n)
     return math.fsum(r * r) - math.log(n) / math.pi
 

@@ -5,9 +5,12 @@ budgeted dense materialization of both."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sequences import check_size
 
 logger = logging.getLogger(__name__)
 
@@ -86,23 +89,26 @@ class LowerTriangularToeplitz(RealConvolution):
 
 def counting_matrix(n: int) -> np.ndarray:
     """Dense n x n lower-triangular all-ones (prefix-sum) matrix."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    n = check_size(n)
     return np.tril(np.ones((n, n)))
 
 
 @dataclass(frozen=True)
 class CirculantSpectrum:
-    """m x m circulant matrix stored as its DFT eigenvalues.
+    """m x m circulant matrix (m even) whose DFT eigenvalues vanish at every
+    even index but 0, stored as the eigenvalue ``dc`` at index 0 and the
+    eigenvalues ``odd`` at indices 1, 3, ..., m - 1.
 
     The matrix is F* diag(eigenvalues) F with F the unitary DFT, whose
     (j, k) entry is exp(-2 pi i j k / m) / sqrt(m); so the eigenvalues are
-    the unnormalized DFT (np.fft.fft) of the first column.  It is real exactly when the eigenvalues are conjugate-symmetric,
-    lambda_k = conj(lambda_{m-k}) for k >= 1.
+    the unnormalized DFT (np.fft.fft) of the first column.  It is real
+    exactly when the eigenvalues are conjugate-symmetric,
+    lambda_k = conj(lambda_{m-k}) for k >= 1, and dc is real.
     """
 
     m: int
-    eigenvalues: np.ndarray
+    dc: float
+    odd: np.ndarray
 
 
 def circulant_extension_spectrum(n: int) -> CirculantSpectrum:
@@ -112,15 +118,15 @@ def circulant_extension_spectrum(n: int) -> CirculantSpectrum:
     With omega = exp(i pi / n) the eigenvalues are n at k = 0,
     2 / (1 - omega^{-k}) at odd k, and 0 at even k != 0.
     """
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
-    m = 2 * n
-    lam = np.zeros(m, dtype=np.complex128)
-    lam[0] = n
-    k_odd = np.arange(1, m, 2)
-    lam[k_odd] = 2.0 / (1.0 - np.exp(-1j * np.pi * k_odd / n))
+    n = check_size(n)
+    lam = -1j * np.pi * np.arange(1, 2 * n, 2)
+    # In place, with the roundings of 2 / (1 - exp(-1j * pi * k / n)).
+    lam /= n
+    np.exp(lam, out=lam)
+    np.subtract(1.0, lam, out=lam)
+    np.divide(2.0, lam, out=lam)
     lam.setflags(write=False)
-    return CirculantSpectrum(m=m, eigenvalues=lam)
+    return CirculantSpectrum(m=2 * n, dc=float(n), odd=lam)
 
 
 def circulant_sqrt(spec: CirculantSpectrum) -> CirculantSpectrum:
@@ -130,26 +136,47 @@ def circulant_sqrt(spec: CirculantSpectrum) -> CirculantSpectrum:
     to the positive imaginary axis, zero to zero).  Away from the negative
     real axis it commutes with conjugation, so conjugate symmetry of the
     input spectrum is preserved and the square root stays a real matrix.
+    A negative dc has no real root and is refused.
     """
-    roots = np.sqrt(np.asarray(spec.eigenvalues, dtype=np.complex128))
+    roots = np.sqrt(np.asarray(spec.odd, dtype=np.complex128))
     roots.setflags(write=False)
-    return CirculantSpectrum(m=spec.m, eigenvalues=roots)
+    return CirculantSpectrum(m=spec.m, dc=math.sqrt(spec.dc), odd=roots)
 
 
 def circulant_first_column(spec: CirculantSpectrum) -> np.ndarray:
-    """First column of the real circulant with the given spectrum.
+    """First column of the real circulant with the given spectrum, by one
+    irfft of length m over the Hermitian part of the spectrum.
 
-    The imaginary residue left by the inverse transform is truncated; its
-    maximum is logged for inspection.
+    The Hermitian part (lambda_k + conj lambda_{m-k}) / 2 is what the real
+    part of the full complex inverse DFT keeps; the anti-Hermitian rest
+    would leave an imaginary residue of at most its l1 norm over m, which
+    is logged and must stay below IMAG_TRUNCATION.
     """
-    c = np.fft.ifft(spec.eigenvalues)
-    residue = float(np.abs(c.imag).max()) if c.size else 0.0
+    m, odd = spec.m, spec.odd
+    n = m // 2
+    # The odd k <= n, and in half's odd bins the conjugates of their
+    # partners m - k.
+    low = odd[: (n + 1) // 2]
+    half = np.zeros(n + 1, dtype=np.complex128)
+    half[0] = spec.dc
+    herm = half[1::2]
+    np.conjugate(odd[::-1][: low.size], out=herm)
+    # |lambda_k - conj lambda_{m-k}| is the same at k and m - k; for odd n
+    # the middle index k = n is its own partner and counts once.
+    anti = np.abs(low - herm)
+    residue = (2.0 * float(anti.sum()) - (float(anti[-1]) if n % 2 else 0.0)) / (2 * m)
     if residue > IMAG_TRUNCATION:
         raise ValueError(
-            f"spectrum is not conjugate-symmetric: imaginary residue {residue:.3e}"
+            f"spectrum is not conjugate-symmetric: imaginary residue up to {residue:.3e}"
         )
-    logger.debug("circulant first column: truncated imaginary residue %.3e", residue)
-    col = np.ascontiguousarray(c.real)
+    logger.debug("circulant first column: truncated imaginary residue <= %.3e", residue)
+    herm += low
+    herm *= 0.5
+    # Drop this frame's hold on the spectrum: when the caller passed its only
+    # reference, the n complex eigenvalues are freed before the irfft
+    # allocates the column, and the peak stays at 5.5 n-length float64 arrays.
+    del spec, odd, low, anti
+    col = np.fft.irfft(half, m)
     col.setflags(write=False)
     return col
 

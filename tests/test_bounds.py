@@ -11,15 +11,31 @@ from numpy.testing import assert_allclose
 
 from countfact import (
     CONSTANTS,
+    closed_form_maxse_group_algebra,
     counting_matrix,
     error_report,
     mathias_lower_bound,
     nuclear_lower_bound,
     residual_offset,
 )
-from countfact import bounds
+from countfact import bounds, metrics
 from countfact.bounds import bound_report, cosecant_average
 from countfact.factorizations import METHODS
+from countfact.metrics import _cosecant_sum
+
+# Every size a cosecant sum is tested at bitwise: all of 1..299, and each
+# power of two up to 2**20 with its successor.
+COSECANT_SIZES = sorted(set(range(1, 300)) | {2**k + e for k in range(21) for e in (0, 1)})
+
+
+def cosecant_families(n):
+    # (numerators, denominator) of the three sums: Mathias and group-algebra
+    # closed form, nuclear bound, cosecant average G(n).
+    odd = np.arange(1, 2 * n, 2)
+    families = {"odd": (odd, 2 * n), "nuclear": (odd, 4 * n + 2)}
+    if n >= 2:
+        families["average"] = (np.arange(1, n), n)
+    return families
 
 
 class TestNuclearLowerBound:
@@ -125,6 +141,35 @@ class TestBoundReport:
         assert (report.g_n, report.g_n_predicted) == original(64)
         assert (report.g_n, report.g_n_predicted) == original(64)
         assert calls == [64]
+
+
+def test_cosecant_sum_equals_fsum_bitwise():
+    # The compensated kernel rounds each exact sum once, like
+    # math.fsum, and every term is the one the direct expression gives.
+    mismatches = []
+    for n in COSECANT_SIZES:
+        for family, (num, den) in cosecant_families(n).items():
+            expected = math.fsum(1.0 / np.sin(np.pi * num / den))
+            got = _cosecant_sum(num, den)
+            if got != expected:
+                mismatches.append((family, n, (got - expected) / math.ulp(expected)))
+    assert mismatches == []
+
+
+CHECKED_SIZE_FUNCTIONS = [nuclear_lower_bound, mathias_lower_bound, cosecant_average,
+                          bound_report, closed_form_maxse_group_algebra]
+
+
+@pytest.mark.parametrize("n, error", [(2.5, TypeError), (4.0, TypeError), (0, ValueError)])
+@pytest.mark.parametrize("function", CHECKED_SIZE_FUNCTIONS, ids=lambda f: f.__name__)
+def test_rejects_non_integer_or_nonpositive_size_before_any_work(monkeypatch, function, n, error):
+    def no_work(*args):
+        raise AssertionError("a cosecant sum ran before n was checked")
+
+    monkeypatch.setattr(metrics, "_cosecant_sum", no_work)
+    monkeypatch.setattr(bounds, "_cosecant_sum", no_work)
+    with pytest.raises(error):
+        function(n)
 
 
 @pytest.mark.parametrize("method", METHODS)

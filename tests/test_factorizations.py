@@ -8,6 +8,8 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from countfact import (
@@ -340,7 +342,10 @@ class TestGroupAlgebraFactorization:
     def test_apply_matches_complex_spectrum_path(self, n):
         # Reference: complex fft/ifft with the closed-form sqrt eigenvalues.
         f = group_algebra_factorization(n)
-        lam = circulant_sqrt(circulant_extension_spectrum(n)).eigenvalues
+        root = circulant_sqrt(circulant_extension_spectrum(n))
+        lam = np.zeros(2 * n, dtype=np.complex128)
+        lam[0] = root.dc
+        lam[1::2] = root.odd
         v = np.random.default_rng(n).standard_normal(2 * n)
         padded = np.concatenate((v[:n], np.zeros(n)))
         for got, reference in (
@@ -349,6 +354,21 @@ class TestGroupAlgebraFactorization:
         ):
             assert got.shape == reference.shape
             assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
+
+
+    def test_peak_memory_is_six_n_length_arrays(self):
+        # The n complex roots and the n + 1 bin half spectrum, then the half
+        # spectrum and the 2n-point column: at most 6 float64 arrays of
+        # length n at any time (the full complex path needed 10).
+        n = 2**16
+        group_algebra_factorization(n)  # warm numpy's FFT plan cache
+        tracemalloc.start()
+        try:
+            group_algebra_factorization(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8 * n
 
 
 class TestOperatorSpectrum:
@@ -421,3 +441,20 @@ class TestReconstruction:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             factorize("cholesky", 4)
+
+    @pytest.mark.parametrize("n, error", [(2.5, TypeError), (4.0, TypeError), (0, ValueError)])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_rejects_non_integer_or_nonpositive_size(self, method, n, error):
+        with pytest.raises(error, match="n must be an integer"):
+            factorize(method, n)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(min_value=1, max_value=256))
+@example(n=1)
+@example(n=256)
+def test_dense_reconstruction_property(method, n):
+    # Odd n puts a nonzero eigenvalue in the Nyquist bin of the group-algebra
+    # column's irfft.
+    assert verify_reconstruction(factorize(method, n)) <= 1e-9

@@ -13,8 +13,10 @@ from numpy.testing import assert_allclose
 from countfact import CONSTANTS, coefficient_table, error_report, landau_alpha
 from countfact.cli import sweep_rows
 from countfact.sequences import (
+    _SUM_BLOCK,
     EULER_GAMMA,
     _compensated_cumsum,
+    _compensated_sum,
     column_norms_sq,
     inverse_coeffs,
     wallis_coeffs,
@@ -228,6 +230,15 @@ class TestCompensatedCumsum:
     def test_full_sum_is_fsum(self, n):
         table = coefficient_table(n)
         assert table.d_sq[0] == math.fsum(table.r * table.r)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1,
+                                   3 * _SUM_BLOCK + 5])
+    def test_blocked_sum_is_the_last_prefix(self, n):
+        # Block by block, the same sequential recursion: bitwise equal, also
+        # for mixed signs and magnitudes and across block boundaries.
+        rng = np.random.default_rng(n)
+        x = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n))
+        assert _compensated_sum(x) == (_compensated_cumsum(x)[-1] if n else 0.0)
 
     def test_read_only_and_reversed_views(self):
         x = np.random.default_rng(1).standard_normal(1001)

@@ -45,6 +45,21 @@ def extension_pattern(n):
     return circulant(np.concatenate((np.ones(n), np.zeros(n))))
 
 
+def full_spectrum(spec):
+    # All m eigenvalues: dc at index 0, the stored ones at odd indices, and
+    # zeros at the other even indices.
+    lam = np.zeros(spec.m, dtype=np.complex128)
+    lam[0] = spec.dc
+    lam[1::2] = spec.odd
+    return lam
+
+
+def complex_path_column(spec):
+    # The former production path: real part of the complex inverse DFT of
+    # the full length-m spectrum.
+    return np.fft.ifft(full_spectrum(spec)).real
+
+
 class TestLowerTriangularToeplitz:
     def test_identity_column(self):
         eye = LowerTriangularToeplitz([1.0, 0.0, 0.0])
@@ -107,42 +122,48 @@ class TestCirculantExtension:
     def test_spectrum_values(self, n):
         spec = circulant_extension_spectrum(n)
         assert spec.m == 2 * n
-        lam = spec.eigenvalues
-        assert lam[0] == n
-        assert np.all(lam[2:2 * n:2] == 0)
-        # eigenvalues are the unnormalized transform of the 0/1 first column
+        assert spec.dc == n
+        assert spec.odd.shape == (n,)
+        # eigenvalues are the unnormalized transform of the 0/1 first column,
+        # which vanishes at every even index but 0
         col = np.concatenate((np.ones(n), np.zeros(n)))
-        assert np.abs(lam - np.fft.fft(col)).max() <= 1e-12 * max(n, 1)
+        assert np.abs(full_spectrum(spec) - np.fft.fft(col)).max() <= 1e-12 * max(n, 1)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_conjugate_symmetry_and_reconstruction(self, n):
         spec = circulant_extension_spectrum(n)
-        lam = spec.eigenvalues
+        lam = full_spectrum(spec)
         assert np.abs(lam[1:] - np.conj(lam[1:][::-1])).max() <= 1e-12
         dense = circulant(circulant_first_column(spec))
         assert np.abs(dense - extension_pattern(n)).max() <= 1e-9
         # top-left block is the counting matrix itself
         assert np.array_equal(extension_pattern(n)[:n, :n], counting_matrix(n))
 
+    @pytest.mark.parametrize("n", [2.5, 4.0, 0])
+    def test_rejects_non_integer_or_nonpositive_size(self, n):
+        with pytest.raises(TypeError if n else ValueError):
+            circulant_extension_spectrum(n)
+
 
 class TestCirculantSqrt:
     def test_fixed_points_and_branch(self):
-        spec = CirculantSpectrum(m=4, eigenvalues=np.array([1.0, 1 - 1j, 0.0, 1 + 1j]))
+        spec = CirculantSpectrum(m=4, dc=1.0, odd=np.array([1 - 1j, 1 + 1j]))
         root = circulant_sqrt(spec)
-        assert root.eigenvalues[0] == 1.0
-        assert root.eigenvalues[2] == 0.0
-        z = root.eigenvalues[1]
+        assert root.m == 4
+        assert root.dc == 1.0
+        z = root.odd[0]
         assert z.real > 0
         assert_allclose(abs(z), 2 ** 0.25, rtol=1e-15)
         assert_allclose(z * z, 1 - 1j, rtol=1e-15)
+        assert root.odd[1] == np.conj(z)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
     def test_squaring_recovers_spectrum(self, n):
         spec = circulant_extension_spectrum(n)
         root = circulant_sqrt(spec)
-        squared = root.eigenvalues * root.eigenvalues
-        scale = np.abs(spec.eigenvalues).max()
-        assert np.abs(squared - spec.eigenvalues).max() <= 1e-14 * scale
+        squared = full_spectrum(root) ** 2
+        scale = np.abs(full_spectrum(spec)).max()
+        assert np.abs(squared - full_spectrum(spec)).max() <= 1e-14 * scale
 
     def test_square_root_is_real(self):
         root = circulant_sqrt(circulant_extension_spectrum(16))
@@ -152,6 +173,24 @@ class TestCirculantSqrt:
         assert np.abs(dense @ dense - extension_pattern(16)).max() <= 1e-10
 
     def test_rejects_asymmetric_spectrum(self):
-        bad = CirculantSpectrum(m=4, eigenvalues=np.array([1.0, 1j, 0.0, 1j]))
-        with pytest.raises(ValueError):
+        # lambda_1 != conj(lambda_3)
+        bad = CirculantSpectrum(m=4, dc=1.0, odd=np.array([1j, 1j]))
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
             circulant_first_column(bad)
+
+    def test_rejects_non_real_middle_eigenvalue(self):
+        # At m = 6 the odd index 3 is its own partner, so it must be real.
+        bad = CirculantSpectrum(m=6, dc=1.0, odd=np.array([1.0, 1j, 1.0]))
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            circulant_first_column(bad)
+
+
+@pytest.mark.parametrize("n", list(range(1, 65)) + [2**k for k in range(7, 17)])
+def test_column_matches_complex_path(n):
+    # The irfft of the Hermitian half spectrum against the real part of the
+    # complex ifft of all 2n root eigenvalues; odd n puts a nonzero
+    # eigenvalue in the Nyquist bin.
+    root = circulant_sqrt(circulant_extension_spectrum(n))
+    col = circulant_first_column(root)
+    assert col.shape == (2 * n,)
+    assert np.abs(col - complex_path_column(root)).max() <= 4e-16
