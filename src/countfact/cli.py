@@ -359,7 +359,7 @@ def cmd_bounds(args) -> int:
 
 def _writable(path: str) -> bool:
     """Whether path can be created or overwritten; touches nothing."""
-    if os.path.isdir(path):
+    if not path or os.path.isdir(path):
         return False
     if os.path.exists(path):
         return os.access(path, os.W_OK)
@@ -602,13 +602,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Output paths are checked before any computation, which can be long.
+        # Every given output path, the empty one too, is checked before any
+        # computation, which can be long.
         paths = [getattr(args, flag, None) for flag in ("csv", "out", "svg")]
-        if getattr(args, "dump", None):
-            paths += _dump_paths(args.dump)
+        dump = getattr(args, "dump", None)
+        paths += _dump_paths(dump) if dump else [dump]
         for path in paths:
-            if path and not _writable(path):
-                raise UsageError(f"cannot write {path}")
+            if path is not None and not _writable(path):
+                raise UsageError(f"cannot write {path or repr(path)}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

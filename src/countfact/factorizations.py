@@ -25,7 +25,8 @@ from .structmat import (
     RealConvolution,
     circulant_block,
     circulant_extension_spectrum,
-    circulant_first_column,
+    circulant_half_spectrum,
+    circulant_norm_sq,
     circulant_sqrt,
     counting_matrix,
     fft_length,
@@ -102,9 +103,9 @@ class CirculantSlice:
 
     The full circulant has entry (j, k) = col[(j - k) mod 2n]; ``left``
     keeps the first n rows (n x 2n), ``right`` the first n columns
-    (2n x n).  Every row and every column of the full circulant has the
-    same squared norm, sum(col**2).  Both slices of one circulant share one
-    length-2n kernel, and so one spectrum.
+    (2n x n).  Both slices of one circulant share one length-2n kernel,
+    built from the circulant's half spectrum: apply convolves with that
+    spectrum directly, and the column is built only for a dense view.
     """
 
     __slots__ = ("kernel", "side")
@@ -121,7 +122,7 @@ class CirculantSlice:
 
     @property
     def m(self) -> int:
-        return self.col.size
+        return self.kernel.fft_size
 
     @property
     def n(self) -> int:
@@ -277,13 +278,15 @@ def group_algebra_factorization(n: int) -> Factorization:
     The spectrum of the extension is known in closed form, its square root
     is taken eigenvalue-wise, and the factors are the first n rows
     (respectively columns) of the resulting real circulant.  All rows of
-    the left factor and all columns of the right factor share one norm.
+    the left factor and all columns of the right factor share one norm,
+    which comes from the root's half spectrum by Parseval; the column
+    itself is never built unless a dense view asks for it.
     """
     # Nested, so that each spectrum is freed as soon as the next step has
-    # read it (see circulant_first_column for the peak).
-    col = circulant_first_column(circulant_sqrt(circulant_extension_spectrum(n)))
-    kernel = RealConvolution(col, col.size)
-    full = float(np.dot(col, col))
+    # read it.
+    half = circulant_half_spectrum(circulant_sqrt(circulant_extension_spectrum(n)))
+    full = circulant_norm_sq(half)
+    kernel = RealConvolution.from_half_spectrum(half)
     return Factorization(
         method=GROUP_ALGEBRA,
         n=n,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import check_size
+from .sequences import _compensated_sum, check_size
 
 logger = logging.getLogger(__name__)
 
@@ -31,26 +31,45 @@ def fft_length(n: int) -> int:
 
 class RealConvolution:
     """Kernel shared by the structured operators: circular convolution of
-    length ``fft_size`` with the fixed real column ``col``, by one
-    rfft/irfft pair.
+    length ``fft_size`` with a fixed real column, by one rfft/irfft pair
+    through the column's half spectrum rfft(col, fft_size).
 
-    The column's spectrum is computed by the first product and kept, so a
-    factorization that is never applied (as in every sweep) never pays for
-    it.  The default length is fft_length(col.size), at which the first
-    col.size outputs are the linear convolution.
+    Built from a column, the length is fft_length(col.size), at which the
+    first col.size outputs are the linear convolution, and the spectrum is
+    computed by the first product and kept, so a factorization that is never
+    applied (as in every sweep) never pays for it.  Built from the half
+    spectrum of a circulant (from_half_spectrum), the length is the
+    circulant's, and the column is computed only when it is first read.
     """
 
-    __slots__ = ("col", "fft_size", "_spectrum")
+    __slots__ = ("_col", "fft_size", "_spectrum")
 
-    def __init__(self, col: np.ndarray, fft_size: int | None = None):
-        self.col = col
-        self.fft_size = fft_length(col.size) if fft_size is None else fft_size
+    def __init__(self, col: np.ndarray):
+        self._col = col
+        self.fft_size = fft_length(col.size)
         self._spectrum = None
+
+    @classmethod
+    def from_half_spectrum(cls, half: np.ndarray) -> RealConvolution:
+        """Circular convolution with the real circulant whose n + 1 bin
+        Hermitian half spectrum is ``half``: length 2n, column irfft(half)."""
+        kernel = cls.__new__(cls)
+        kernel._col = None
+        kernel.fft_size = 2 * (half.size - 1)
+        kernel._spectrum = half
+        return kernel
+
+    @property
+    def col(self) -> np.ndarray:
+        if self._col is None:
+            self._col = np.fft.irfft(self._spectrum, self.fft_size)
+            self._col.setflags(write=False)
+        return self._col
 
     def _convolve(self, x: np.ndarray) -> np.ndarray:
         size = self.fft_size
         if self._spectrum is None:
-            self._spectrum = np.fft.rfft(self.col, size)
+            self._spectrum = np.fft.rfft(self._col, size)
         return np.fft.irfft(np.fft.rfft(x, size) * self._spectrum, size)
 
 
@@ -143,14 +162,16 @@ def circulant_sqrt(spec: CirculantSpectrum) -> CirculantSpectrum:
     return CirculantSpectrum(m=spec.m, dc=math.sqrt(spec.dc), odd=roots)
 
 
-def circulant_first_column(spec: CirculantSpectrum) -> np.ndarray:
-    """First column of the real circulant with the given spectrum, by one
-    irfft of length m over the Hermitian part of the spectrum.
+def circulant_half_spectrum(spec: CirculantSpectrum) -> np.ndarray:
+    """Bins 0..n (n = m / 2) of the rfft of the first column of the real
+    circulant with the given spectrum: its Hermitian part.
 
-    The Hermitian part (lambda_k + conj lambda_{m-k}) / 2 is what the real
-    part of the full complex inverse DFT keeps; the anti-Hermitian rest
-    would leave an imaginary residue of at most its l1 norm over m, which
-    is logged and must stay below IMAG_TRUNCATION.
+    Bin 0 is dc, the even bins are 0, and odd bin k is
+    (lambda_k + conj lambda_{m-k}) / 2, which is what the real part of the
+    full complex inverse DFT keeps; bin n is real (0 for even n, its own
+    partner for odd n).  The anti-Hermitian rest would leave an imaginary
+    residue of at most its l1 norm over m, which is logged and must stay
+    below IMAG_TRUNCATION.
     """
     m, odd = spec.m, spec.odd
     n = m // 2
@@ -172,13 +193,30 @@ def circulant_first_column(spec: CirculantSpectrum) -> np.ndarray:
     logger.debug("circulant first column: truncated imaginary residue <= %.3e", residue)
     herm += low
     herm *= 0.5
+    half.setflags(write=False)
+    return half
+
+
+def circulant_norm_sq(half: np.ndarray) -> float:
+    """sum(col**2) for the real length-2n column whose rfft is the n + 1 bin
+    ``half`` (h_0 and h_n real), by Parseval in one compensated sum:
+    (h_0^2 + 2 sum_{0<k<n} |h_k|^2 + h_n^2) / 2n.  Every row and every
+    column of the circulant has this squared norm."""
+    sq = np.square(half.real)
+    sq += np.square(half.imag)
+    sq[1:-1] *= 2.0
+    return _compensated_sum(sq) / (2 * (half.size - 1))
+
+
+def circulant_first_column(spec: CirculantSpectrum) -> np.ndarray:
+    """First column of the real circulant with the given spectrum, by one
+    irfft of length m over circulant_half_spectrum(spec)."""
+    half = circulant_half_spectrum(spec)
     # Drop this frame's hold on the spectrum: when the caller passed its only
     # reference, the n complex eigenvalues are freed before the irfft
     # allocates the column, and the peak stays at 5.5 n-length float64 arrays.
-    del spec, odd, low, anti
-    col = np.fft.irfft(half, m)
-    col.setflags(write=False)
-    return col
+    del spec
+    return RealConvolution.from_half_spectrum(half).col
 
 
 def circulant_block(col: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -359,6 +359,36 @@ class TestCsvPaths:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestEmptyOutputPath:
+    @pytest.mark.parametrize("argv, module, compute", [
+        (("sweep", "--methods", "sqrt", "--metrics", "maxse", "--out", ""),
+         "countfact.cli", "sweep_rows"),
+        (("sweep", "--methods", "sqrt", "--metrics", "maxse", "--out", "sweep.csv",
+          "--svg", ""), "countfact.cli", "sweep_rows"),
+        (("coeffs", "--n", "4", "--csv", ""), "countfact.cli", "coefficient_table"),
+        (("metrics", "--method", "nsr", "--n", "8", "--csv", ""),
+         "countfact.metrics", "error_report"),
+        (("bounds", "--n", "8", "--csv", ""), "countfact.bounds", "bound_report"),
+        (("simulate", "--method", "nsr", "--n", "8", "--trials", "2", "--csv", ""),
+         "countfact.cli", "estimate_errors"),
+        (("factorize", "--method", "nsr", "--n", "8", "--dump", ""),
+         "countfact.factorizations", "factorize"),
+    ], ids=["sweep-out", "sweep-svg", "coeffs", "metrics", "bounds", "simulate",
+            "factorize-dump"])
+    def test_empty_path_exits_2_before_computing(self, capsys, tmp_path, monkeypatch,
+                                                 argv, module, compute):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{argv[0]} computed before refusing an empty path")
+
+        monkeypatch.setattr(f"{module}.{compute}", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "cannot write ''" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulate:
     def test_deterministic_output(self, capsys):
         argv = ("simulate", "--method", "nsr", "--n", "8", "--mu", "1",

@@ -25,7 +25,6 @@ from countfact import (
 )
 from countfact.factorizations import (
     METHODS,
-    CirculantSlice,
     ColumnScaled,
     NsrLeft,
     _nsr_delta_q,
@@ -33,7 +32,15 @@ from countfact.factorizations import (
     sqrt_factorization,
     to_dense,
 )
-from countfact.structmat import DENSE_BUDGET, circulant_extension_spectrum, circulant_sqrt
+from countfact.metrics import error_report, maxse
+from countfact.structmat import (
+    DENSE_BUDGET,
+    circulant_block,
+    circulant_extension_spectrum,
+    circulant_first_column,
+    circulant_half_spectrum,
+    circulant_sqrt,
+)
 
 # Sizes for the FFT kernel: 4097 is where 2n - 1 passes a power of two.
 KERNEL_SIZES = [1, 2, 3, 5, 64, 777, 4096, 4097]
@@ -372,26 +379,95 @@ class TestGroupAlgebraFactorization:
 
 
 class TestOperatorSpectrum:
-    @pytest.mark.parametrize("method", [SQRT, NSR, GROUP_ALGEBRA])
+    @pytest.mark.parametrize("method", [SQRT, NSR])
     def test_only_apply_computes_the_spectrum(self, method):
         f = factorize(method, 64)
         rng = np.random.default_rng(0)
         ops = (f.left, f.right)  # one shared object for sqrt
-        kernels = [op.base if isinstance(op, ColumnScaled)
-                   else op.kernel if isinstance(op, CirculantSlice) else op for op in ops]
+        kernels = [op.base if isinstance(op, ColumnScaled) else op for op in ops]
         assert all(kernel._spectrum is None for kernel in kernels)
         for op, kernel in zip(ops, kernels):
             op.apply(rng.standard_normal(op.shape[1]))
             assert kernel._spectrum is not None
 
+    def test_group_algebra_apply_never_builds_the_column(self):
+        # The kernel starts from the half spectrum; only a dense view builds
+        # the column, once for both slices.
+        f = group_algebra_factorization(64)
+        kernel = f.left.kernel
+        spectrum = kernel._spectrum
+        assert spectrum.shape == (65,) and kernel._col is None
+        rng = np.random.default_rng(0)
+        for op in (f.left, f.right):
+            op.apply(rng.standard_normal(op.shape[1]))
+        assert kernel._col is None and kernel._spectrum is spectrum
+        dense = f.left.to_dense()
+        col = kernel._col
+        assert col is not None and f.right.col is col
+        assert np.array_equal(dense[0], col[np.arange(0, -128, -1) % 128])
+
     @pytest.mark.parametrize("first", ["left", "right"])
-    def test_group_algebra_slices_share_one_spectrum(self, first):
+    def test_group_algebra_slices_share_the_half_spectrum(self, first):
         f = group_algebra_factorization(8)
+        spectrum = f.left.kernel._spectrum
+        assert f.right.kernel._spectrum is spectrum
+        assert not spectrum.flags.writeable
         ops = (f.left, f.right) if first == "left" else (f.right, f.left)
         for op in ops:
             op.apply(np.ones(op.shape[1]))
-        assert f.left.kernel is f.right.kernel
-        assert f.left.kernel._spectrum is not None
+        assert f.left.kernel._spectrum is f.right.kernel._spectrum is spectrum
+
+
+def root_spectrum(n):
+    return circulant_sqrt(circulant_extension_spectrum(n))
+
+
+def longdouble_parseval(half):
+    # Parseval over the same half spectrum, in extended precision.
+    sq = half.real.astype(np.longdouble) ** 2 + half.imag.astype(np.longdouble) ** 2
+    total = sq[0] + sq[-1] + 2 * np.sum(sq[1:-1])
+    return total / (2 * (half.size - 1))
+
+
+class TestGroupAlgebraSpectralNorm:
+    @staticmethod
+    def check_parseval_norm(n):
+        f = group_algebra_factorization(n)
+        half = circulant_half_spectrum(root_spectrum(n))
+        assert np.array_equal(f.left.kernel._spectrum, half)
+        full = f.row_norms_sq_left[0]
+        reference = longdouble_parseval(half)
+        assert abs(full - reference) <= 1e-15 * reference, n
+        col = circulant_first_column(root_spectrum(n))
+        dot = float(np.dot(col, col))
+        assert abs(full - dot) <= 1e-14 * dot, n
+        assert f.frobenius_sq_left == n * full
+
+    def test_parseval_norm_small_sizes(self):
+        for n in range(1, 301):
+            self.check_parseval_norm(n)
+
+    @pytest.mark.parametrize("n", [2**k + j for k in range(9, 21) for j in (0, 1)])
+    def test_parseval_norm_large_sizes(self, n):
+        self.check_parseval_norm(n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 61, 64, 777])
+    def test_dense_slices_are_the_column_blocks(self, n):
+        # The lazily built column is circulant_first_column's, bit for bit.
+        f = group_algebra_factorization(n)
+        col = circulant_first_column(root_spectrum(n))
+        assert np.array_equal(f.left.to_dense(), circulant_block(col, (n, 2 * n)))
+        assert np.array_equal(f.right.to_dense(), circulant_block(col, (2 * n, n)))
+
+    def test_norms_never_build_the_column(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the circulant column was built")
+
+        monkeypatch.setattr("countfact.structmat.circulant_first_column", must_not_run)
+        monkeypatch.setattr(np.fft, "irfft", must_not_run)
+        report = error_report(GROUP_ALGEBRA, 1024)
+        f = factorize(GROUP_ALGEBRA, 1024)
+        assert report.maxse == report.meanse == maxse(f) > 0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
@@ -458,3 +534,13 @@ def test_dense_reconstruction_property(method, n):
     # Odd n puts a nonzero eigenvalue in the Nyquist bin of the group-algebra
     # column's irfft.
     assert verify_reconstruction(factorize(method, n)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(min_value=1, max_value=128))
+@example(n=1)
+@example(n=128)
+def test_nsr_right_columns_have_unit_norm_property(n):
+    right = to_dense(nsr_factorization(n).right)
+    norms = np.sqrt(np.einsum("jk,jk->k", right, right))
+    assert np.abs(norms - 1.0).max() <= 1e-12

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from countfact import (
@@ -15,7 +17,7 @@ from countfact import (
     meanse,
     nsr_factorization,
 )
-from countfact.factorizations import sqrt_factorization
+from countfact.factorizations import METHODS, sqrt_factorization
 from countfact.mechanism import _generator, noise_scale
 
 
@@ -124,6 +126,40 @@ class TestPinnedEstimates:
         err_inf, err_2 = self.PINNED[method]
         assert_allclose(result.empirical_err_inf, err_inf, rtol=1e-12)
         assert_allclose(result.empirical_err_2, err_2, rtol=1e-12)
+
+
+# Small configurations for the property tests: every method, n <= 128, a
+# few trials, any seed.
+PROPERTY_SETTINGS = settings(max_examples=30, deadline=None, derandomize=True,
+                             database=None)
+methods = st.sampled_from(METHODS)
+sizes = st.integers(min_value=1, max_value=128)
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+trial_counts = st.integers(min_value=1, max_value=4)
+
+
+@PROPERTY_SETTINGS
+@given(method=methods, n=sizes, seed=seeds, trials=trial_counts)
+def test_reruns_are_bit_identical_property(method, n, seed, trials):
+    # Each run builds its own factorization, as a separate process would.
+    a = estimate_errors(make_config(method, n, trials=trials, seed=seed))
+    b = estimate_errors(make_config(method, n, trials=trials, seed=seed))
+    assert a.empirical_err_inf == b.empirical_err_inf
+    assert a.empirical_err_2 == b.empirical_err_2
+    assert np.array_equal(a.z_mean, b.z_mean)
+    assert np.array_equal(a.z_var, b.z_var)
+
+
+@PROPERTY_SETTINGS
+@given(method=methods, n=sizes, seed=seeds, trials=trial_counts,
+       mu=st.floats(min_value=0.25, max_value=4.0), k=st.integers(min_value=-3, max_value=3))
+def test_mu_times_power_of_two_scales_errors_exactly_property(method, n, seed, trials,
+                                                              mu, k):
+    base = estimate_errors(make_config(method, n, mu=mu, trials=trials, seed=seed))
+    scaled = estimate_errors(make_config(method, n, mu=mu * 2.0**k, trials=trials,
+                                         seed=seed))
+    assert scaled.empirical_err_inf == base.empirical_err_inf / 2.0**k
+    assert scaled.empirical_err_2 == base.empirical_err_2 / 2.0**k
 
 
 class TestScaleLaw:
