@@ -20,7 +20,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import factorizations as fz
 from . import metrics as mt
-from .mechanism import MechanismConfig, estimate_errors
+from .mechanism import MechanismConfig, check_parameters, estimate_errors
 from .sequences import coefficient_table
 from .structmat import DENSE_BUDGET, counting_matrix
 
@@ -383,10 +383,7 @@ def cmd_sweep(args) -> int:
         raise UsageError(f"unknown metric(s): {', '.join(bad)}")
     if not metrics:
         raise UsageError("empty metric set")
-    try:
-        sizes = sweep_sizes(args.n_min, args.n_max, args.geometric)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    sizes = sweep_sizes(args.n_min, args.n_max, args.geometric)
 
     factor_methods = [m for m in methods if m in fz.METHODS]
     rows = sweep_rows(factor_methods, metrics, sizes, threads=args.threads)
@@ -438,6 +435,7 @@ def _sweep_checks(rows) -> list[str]:
 
 
 def cmd_simulate(args) -> int:
+    check_parameters(args.mu, args.trials, args.seed)
     if args.input == "zeros":
         x = np.zeros(args.n)
     elif args.input == "ones":
@@ -523,8 +521,9 @@ def _z_bands(trials: int, n: int) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """A command line that cannot be run; main reports it and exits 2, as it
+    does for every ValueError."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -611,9 +610,6 @@ def main(argv=None) -> int:
             if path is not None and not _writable(path):
                 raise UsageError(f"cannot write {path or repr(path)}")
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,10 +24,8 @@ from .structmat import (
     LowerTriangularToeplitz,
     RealConvolution,
     circulant_block,
-    circulant_extension_spectrum,
     circulant_half_spectrum,
     circulant_norm_sq,
-    circulant_sqrt,
     counting_matrix,
     fft_length,
 )
@@ -282,9 +280,7 @@ def group_algebra_factorization(n: int) -> Factorization:
     which comes from the root's half spectrum by Parseval; the column
     itself is never built unless a dense view asks for it.
     """
-    # Nested, so that each spectrum is freed as soon as the next step has
-    # read it.
-    half = circulant_half_spectrum(circulant_sqrt(circulant_extension_spectrum(n)))
+    half = circulant_half_spectrum(n)
     full = circulant_norm_sq(half)
     kernel = RealConvolution.from_half_spectrum(half)
     return Factorization(

@@ -20,6 +20,16 @@ from .factorizations import Factorization
 from .metrics import maxse, meanse
 
 
+def check_parameters(mu: float, trials: int, seed: int) -> None:
+    """Refuse a GDP level, trial count or seed that no simulation accepts."""
+    if not mu > 0:
+        raise ValueError(f"mu must be positive, got {mu}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 <= seed < 2**64:
+        raise ValueError("seed must fit in an unsigned 64-bit integer")
+
+
 @dataclass(frozen=True, eq=False)
 class MechanismConfig:
     """One simulation setup.
@@ -36,12 +46,7 @@ class MechanismConfig:
     input: np.ndarray
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in an unsigned 64-bit integer")
+        check_parameters(self.mu, self.trials, self.seed)
         x = np.asarray(self.input, dtype=np.float64)
         if x.shape != (self.factorization.n,):
             raise ValueError(

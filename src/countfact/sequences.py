@@ -110,37 +110,6 @@ def wallis_coeffs(n: int) -> np.ndarray:
     return np.cumprod(factors)
 
 
-def inverse_coeffs(n: int) -> np.ndarray:
-    """First n Taylor coefficients of (1 - x)^(1/2).
-
-    rtilde_0 = 1 and rtilde_j = -r_j / (2j - 1); these are the Toeplitz
-    coefficients of the inverse of the square-root factor, and their prefix
-    sums telescope back onto the r_j:  sum_{t<=j} rtilde_t = r_j.
-    """
-    return _inverse_from_wallis(wallis_coeffs(n))
-
-
-def _inverse_from_wallis(r: np.ndarray) -> np.ndarray:
-    rtilde = np.empty(r.size)
-    rtilde[0] = 1.0
-    if r.size > 1:
-        j = np.arange(1, r.size, dtype=np.float64)
-        rtilde[1:] = -r[1:] / (2.0 * j - 1.0)
-    return rtilde
-
-
-def column_norms_sq(n: int) -> np.ndarray:
-    """Squared column norms of the square-root factor, d_j^2 for j = 1..n.
-
-    d_j^2 = sum_{t=0}^{n-j} r_t^2, returned with d_j^2 at index j - 1.
-    The sequence is strictly decreasing, ends at exactly 1.0, and adjacent
-    differences recover the squared coefficients: d_j^2 - d_{j+1}^2 =
-    r_{n-j}^2.
-    """
-    r = wallis_coeffs(n)
-    return _compensated_cumsum(r * r)[::-1].copy()
-
-
 def landau_alpha(n: int) -> float:
     """Partial-sum residual alpha_n = sum_{j=0}^{n-1} r_j^2 - log(n)/pi.
 
@@ -163,10 +132,14 @@ class CoefficientTable:
     r : ndarray, shape (n,)
         Taylor coefficients of (1 - x)^(-1/2); r[0] = 1, strictly decreasing.
     rtilde : ndarray, shape (n,)
-        Taylor coefficients of (1 - x)^(1/2).
+        Taylor coefficients of (1 - x)^(1/2): rtilde[0] = 1 and
+        rtilde[j] = -r[j] / (2j - 1).  They are the Toeplitz coefficients of
+        the inverse of the square-root factor, and their prefix sums
+        telescope back onto r: sum_{t<=j} rtilde[t] = r[j].
     d_sq : ndarray, shape (n,)
-        Squared column norms of the square root; the 1-indexed d_j^2 sits at
-        index j - 1, so d_sq[-1] == 1.
+        Squared column norms of the square root, d_j^2 = sum_{t<=n-j} r_t^2;
+        the 1-indexed d_j^2 sits at index j - 1, so d_sq[-1] == 1.  Strictly
+        decreasing, and d_j^2 - d_{j+1}^2 = r_{n-j}^2.
     alpha : ndarray, shape (n,)
         alpha_m = sum_{j<m} r_j^2 - log(m)/pi at index m - 1; strictly
         increasing within [1, 1.0663].
@@ -181,7 +154,10 @@ class CoefficientTable:
 
     @functools.cached_property
     def rtilde(self) -> np.ndarray:
-        rtilde = _inverse_from_wallis(self.r)
+        rtilde = np.empty(self.n)
+        rtilde[0] = 1.0
+        j = np.arange(1, self.n, dtype=np.float64)
+        rtilde[1:] = -self.r[1:] / (2.0 * j - 1.0)
         rtilde.setflags(write=False)
         return rtilde
 

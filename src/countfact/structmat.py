@@ -1,12 +1,12 @@
 """Structured-matrix kernels: lower-triangular Toeplitz matrices stored by
-first column, circulant matrices stored by DFT eigenvalues, and the one
-budgeted dense materialization of both."""
+first column, the circulant square root of the counting matrix's 2n x 2n
+extension stored by its half spectrum, and the one budgeted dense
+materialization of both."""
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -112,30 +112,15 @@ def counting_matrix(n: int) -> np.ndarray:
     return np.tril(np.ones((n, n)))
 
 
-@dataclass(frozen=True)
-class CirculantSpectrum:
-    """m x m circulant matrix (m even) whose DFT eigenvalues vanish at every
-    even index but 0, stored as the eigenvalue ``dc`` at index 0 and the
-    eigenvalues ``odd`` at indices 1, 3, ..., m - 1.
+def circulant_extension_spectrum(n: int) -> np.ndarray:
+    """Odd-index eigenvalues of the 2n x 2n circulant 0/1 extension of the
+    counting matrix (first column: n ones followed by n zeros), read-only.
 
-    The matrix is F* diag(eigenvalues) F with F the unitary DFT, whose
-    (j, k) entry is exp(-2 pi i j k / m) / sqrt(m); so the eigenvalues are
-    the unnormalized DFT (np.fft.fft) of the first column.  It is real
-    exactly when the eigenvalues are conjugate-symmetric,
-    lambda_k = conj(lambda_{m-k}) for k >= 1, and dc is real.
-    """
-
-    m: int
-    dc: float
-    odd: np.ndarray
-
-
-def circulant_extension_spectrum(n: int) -> CirculantSpectrum:
-    """Eigenvalues of the 2n x 2n circulant 0/1 extension of the counting
-    matrix (first column: n ones followed by n zeros).
-
-    With omega = exp(i pi / n) the eigenvalues are n at k = 0,
-    2 / (1 - omega^{-k}) at odd k, and 0 at even k != 0.
+    The eigenvalues are the unnormalized DFT (np.fft.fft) of that column.
+    With omega = exp(i pi / n) they are n at k = 0, 0 at every other even k,
+    and 2 / (1 - omega^{-k}) at odd k; the n odd ones, k = 1, 3, ..., 2n - 1,
+    are returned.  They are conjugate-symmetric, lambda_k = conj
+    lambda_{2n-k}, so the extension is real.
     """
     n = check_size(n)
     lam = -1j * np.pi * np.arange(1, 2 * n, 2)
@@ -145,45 +130,36 @@ def circulant_extension_spectrum(n: int) -> CirculantSpectrum:
     np.subtract(1.0, lam, out=lam)
     np.divide(2.0, lam, out=lam)
     lam.setflags(write=False)
-    return CirculantSpectrum(m=2 * n, dc=float(n), odd=lam)
+    return lam
 
 
-def circulant_sqrt(spec: CirculantSpectrum) -> CirculantSpectrum:
-    """Square root in the eigenvalue domain, principal branch per entry.
+def circulant_half_spectrum(n: int) -> np.ndarray:
+    """Bins 0..n of the rfft of the first column of the real square root of
+    the 2n x 2n circulant extension: its Hermitian half spectrum.
 
-    The principal branch has nonnegative real part (and maps negative reals
-    to the positive imaginary axis, zero to zero).  Away from the negative
-    real axis it commutes with conjugation, so conjugate symmetry of the
-    input spectrum is preserved and the square root stays a real matrix.
-    A negative dc has no real root and is refused.
+    The root is taken eigenvalue-wise on the principal branch, which has
+    nonnegative real part and, away from the negative real axis, commutes
+    with conjugation; so the roots stay conjugate-symmetric and the root
+    circulant is real.  Bin 0 is sqrt(n), the even bins are 0, and odd bin
+    k is (h_k + conj h_{2n-k}) / 2 for the roots h, which is what the real
+    part of the full complex inverse DFT keeps; bin n is real (0 for even
+    n, its own partner for odd n).  The anti-Hermitian rest would leave an
+    imaginary residue of at most its l1 norm over 2n, which is logged and
+    must stay below IMAG_TRUNCATION.
     """
-    roots = np.sqrt(np.asarray(spec.odd, dtype=np.complex128))
-    roots.setflags(write=False)
-    return CirculantSpectrum(m=spec.m, dc=math.sqrt(spec.dc), odd=roots)
-
-
-def circulant_half_spectrum(spec: CirculantSpectrum) -> np.ndarray:
-    """Bins 0..n (n = m / 2) of the rfft of the first column of the real
-    circulant with the given spectrum: its Hermitian part.
-
-    Bin 0 is dc, the even bins are 0, and odd bin k is
-    (lambda_k + conj lambda_{m-k}) / 2, which is what the real part of the
-    full complex inverse DFT keeps; bin n is real (0 for even n, its own
-    partner for odd n).  The anti-Hermitian rest would leave an imaginary
-    residue of at most its l1 norm over m, which is logged and must stay
-    below IMAG_TRUNCATION.
-    """
-    m, odd = spec.m, spec.odd
-    n = m // 2
+    # Taking n rather than the eigenvalues frees them as soon as their roots
+    # exist, so the peak stays at 5.5 n-length float64 arrays.
+    odd = np.sqrt(circulant_extension_spectrum(n))
+    m = 2 * n
     # The odd k <= n, and in half's odd bins the conjugates of their
     # partners m - k.
     low = odd[: (n + 1) // 2]
     half = np.zeros(n + 1, dtype=np.complex128)
-    half[0] = spec.dc
+    half[0] = math.sqrt(n)
     herm = half[1::2]
     np.conjugate(odd[::-1][: low.size], out=herm)
-    # |lambda_k - conj lambda_{m-k}| is the same at k and m - k; for odd n
-    # the middle index k = n is its own partner and counts once.
+    # |h_k - conj h_{m-k}| is the same at k and m - k; for odd n the middle
+    # index k = n is its own partner and counts once.
     anti = np.abs(low - herm)
     residue = (2.0 * float(anti.sum()) - (float(anti[-1]) if n % 2 else 0.0)) / (2 * m)
     if residue > IMAG_TRUNCATION:
@@ -206,17 +182,6 @@ def circulant_norm_sq(half: np.ndarray) -> float:
     sq += np.square(half.imag)
     sq[1:-1] *= 2.0
     return _compensated_sum(sq) / (2 * (half.size - 1))
-
-
-def circulant_first_column(spec: CirculantSpectrum) -> np.ndarray:
-    """First column of the real circulant with the given spectrum, by one
-    irfft of length m over circulant_half_spectrum(spec)."""
-    half = circulant_half_spectrum(spec)
-    # Drop this frame's hold on the spectrum: when the caller passed its only
-    # reference, the n complex eigenvalues are freed before the irfft
-    # allocates the column, and the peak stays at 5.5 n-length float64 arrays.
-    del spec
-    return RealConvolution.from_half_spectrum(half).col
 
 
 def circulant_block(col: np.ndarray, shape: tuple[int, int]) -> np.ndarray:

@@ -428,6 +428,23 @@ class TestSimulate:
         assert code == 1
         assert "CHECK FAIL [simulate] standardized deviations have off-unit variance" in err
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "trials must be >= 1, got 0"),
+        ("--mu", "0", "mu must be positive, got 0.0"),
+        ("--mu", "nan", "mu must be positive, got nan"),
+        ("--seed", "-1", "seed must fit in an unsigned 64-bit integer"),
+    ])
+    def test_bad_parameters_exit_2_before_factorizing(self, capsys, monkeypatch,
+                                                      flag, value, message):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulate factorized before checking its parameters")
+
+        monkeypatch.setattr("countfact.factorizations.factorize", must_not_run)
+        code, out, err = run_cli(capsys, "simulate", "--method", "group-algebra",
+                                 "--n", "1048576", flag, value)
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
+
     def test_input_file(self, capsys, tmp_path):
         path = tmp_path / "x.csv"
         path.write_text("\n".join(str(float(i)) for i in range(4)) + "\n")

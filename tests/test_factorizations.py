@@ -37,9 +37,7 @@ from countfact.structmat import (
     DENSE_BUDGET,
     circulant_block,
     circulant_extension_spectrum,
-    circulant_first_column,
     circulant_half_spectrum,
-    circulant_sqrt,
 )
 
 # Sizes for the FFT kernel: 4097 is where 2n - 1 passes a power of two.
@@ -349,10 +347,9 @@ class TestGroupAlgebraFactorization:
     def test_apply_matches_complex_spectrum_path(self, n):
         # Reference: complex fft/ifft with the closed-form sqrt eigenvalues.
         f = group_algebra_factorization(n)
-        root = circulant_sqrt(circulant_extension_spectrum(n))
         lam = np.zeros(2 * n, dtype=np.complex128)
-        lam[0] = root.dc
-        lam[1::2] = root.odd
+        lam[0] = math.sqrt(n)
+        lam[1::2] = np.sqrt(circulant_extension_spectrum(n))
         v = np.random.default_rng(n).standard_normal(2 * n)
         padded = np.concatenate((v[:n], np.zeros(n)))
         for got, reference in (
@@ -418,10 +415,6 @@ class TestOperatorSpectrum:
         assert f.left.kernel._spectrum is f.right.kernel._spectrum is spectrum
 
 
-def root_spectrum(n):
-    return circulant_sqrt(circulant_extension_spectrum(n))
-
-
 def longdouble_parseval(half):
     # Parseval over the same half spectrum, in extended precision.
     sq = half.real.astype(np.longdouble) ** 2 + half.imag.astype(np.longdouble) ** 2
@@ -433,12 +426,12 @@ class TestGroupAlgebraSpectralNorm:
     @staticmethod
     def check_parseval_norm(n):
         f = group_algebra_factorization(n)
-        half = circulant_half_spectrum(root_spectrum(n))
+        half = circulant_half_spectrum(n)
         assert np.array_equal(f.left.kernel._spectrum, half)
         full = f.row_norms_sq_left[0]
         reference = longdouble_parseval(half)
         assert abs(full - reference) <= 1e-15 * reference, n
-        col = circulant_first_column(root_spectrum(n))
+        col = np.fft.irfft(half, 2 * n)
         dot = float(np.dot(col, col))
         assert abs(full - dot) <= 1e-14 * dot, n
         assert f.frobenius_sq_left == n * full
@@ -453,9 +446,10 @@ class TestGroupAlgebraSpectralNorm:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 61, 64, 777])
     def test_dense_slices_are_the_column_blocks(self, n):
-        # The lazily built column is circulant_first_column's, bit for bit.
+        # The lazily built column is the irfft of the half spectrum, bit for
+        # bit.
         f = group_algebra_factorization(n)
-        col = circulant_first_column(root_spectrum(n))
+        col = np.fft.irfft(circulant_half_spectrum(n), 2 * n)
         assert np.array_equal(f.left.to_dense(), circulant_block(col, (n, 2 * n)))
         assert np.array_equal(f.right.to_dense(), circulant_block(col, (2 * n, n)))
 
@@ -463,7 +457,6 @@ class TestGroupAlgebraSpectralNorm:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the circulant column was built")
 
-        monkeypatch.setattr("countfact.structmat.circulant_first_column", must_not_run)
         monkeypatch.setattr(np.fft, "irfft", must_not_run)
         report = error_report(GROUP_ALGEBRA, 1024)
         f = factorize(GROUP_ALGEBRA, 1024)

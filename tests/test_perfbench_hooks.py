@@ -1,0 +1,59 @@
+"""The benchmark's per-layer spans (perfbench/tracing.py) still see countfact.
+
+The spans are installed from outside the package by function and class name,
+and read attributes such as n off the arguments.  A renamed function zeroes
+its layer's metrics, and an argument that loses the attribute a span reads
+crashes the traced benchmark run; both show up here first.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench import tracing  # noqa: E402
+
+from countfact import cli  # noqa: E402
+
+LAYERS = ("structmat.circulant", "factorizations.factorize", "metrics.error_report",
+          "bounds.bound_report", "cli.write")
+
+
+@pytest.fixture(scope="module")
+def spans(tmp_path_factory):
+    out = tmp_path_factory.mktemp("perfbench")
+    argvs = [
+        ["sweep", "--n-max", "64", "--out", str(out / "sweep.csv"),
+         "--svg", str(out / "sweep.svg")],
+        *(["simulate", "--method", method, "--n", "64", "--trials", "3"]
+          for method in ("nsr", "group-algebra")),
+    ]
+    recorder = tracing.Recorder()
+    tracing.clear_caches()
+    with tracing.Instrumentation(recorder):
+        codes = [cli.main(argv) for argv in argvs]
+    assert codes == [0, 0, 0]
+    return recorder.spans
+
+
+@pytest.mark.parametrize("name", LAYERS)
+def test_layer_recorded(spans, name):
+    recorded = [span for span in spans if span.name == name]
+    assert recorded, f"no {name} span"
+    assert all(span.end >= span.start for span in recorded)
+
+
+def test_circulant_layer_reads_the_size(spans):
+    sizes = {span.attrs["n"] for span in spans if span.name == "structmat.circulant"}
+    assert sizes == {4, 8, 16, 32, 64}
+
+
+@pytest.mark.parametrize("cls", ["NsrLeft", "CirculantSlice"])
+def test_apply_recorded_per_class(spans, cls):
+    applies = [span for span in spans
+               if span.name == "structmat.apply" and span.attrs["cls"] == cls]
+    assert len(applies) == 3  # one per trial
+    assert {span.attrs["n"] for span in applies} == {64}
+

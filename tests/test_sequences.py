@@ -1,5 +1,6 @@
 """Tests for the scalar sequences, checked against exact integer binomials."""
 
+import itertools
 import math
 import timeit
 from fractions import Fraction
@@ -17,8 +18,6 @@ from countfact.sequences import (
     EULER_GAMMA,
     _compensated_cumsum,
     _compensated_sum,
-    column_norms_sq,
-    inverse_coeffs,
     wallis_coeffs,
 )
 
@@ -56,35 +55,39 @@ class TestWallisCoeffs:
 
 
 class TestInverseCoeffs:
+    # coefficient_table(n).rtilde: the Taylor coefficients of (1 - x)^(1/2).
+
     def test_examples(self):
-        assert inverse_coeffs(2).tolist() == [1.0, -0.5]
-        assert inverse_coeffs(3).tolist() == [1.0, -0.5, -0.125]
-        assert_allclose(inverse_coeffs(4)[-1], -0.0625, rtol=1e-15)
+        assert coefficient_table(1).rtilde.tolist() == [1.0]
+        assert coefficient_table(2).rtilde.tolist() == [1.0, -0.5]
+        assert coefficient_table(3).rtilde.tolist() == [1.0, -0.5, -0.125]
+        assert_allclose(coefficient_table(4).rtilde[-1], -0.0625, rtol=1e-15)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            inverse_coeffs(0)
+            coefficient_table(0)
 
     def test_prefix_sums_telescope_to_r(self):
-        n = 2**14
-        r = wallis_coeffs(n)
-        prefix = np.cumsum(inverse_coeffs(n))
-        assert np.abs(prefix - r).max() <= 1e-13
+        table = coefficient_table(2**14)
+        prefix = np.cumsum(table.rtilde)
+        assert np.abs(prefix - table.r).max() <= 1e-13
 
 
 class TestColumnNormsSq:
+    # coefficient_table(n).d_sq: the squared column norms of the square root.
+
     def test_examples(self):
-        assert column_norms_sq(1).tolist() == [1.0]
-        assert column_norms_sq(2).tolist() == [1.25, 1.0]
-        assert column_norms_sq(3)[0] == 1.390625
+        assert coefficient_table(1).d_sq.tolist() == [1.0]
+        assert coefficient_table(2).d_sq.tolist() == [1.25, 1.0]
+        assert coefficient_table(3).d_sq[0] == 1.390625
 
     def test_last_entry_is_exactly_one(self):
         for n in (1, 2, 17, 256):
-            assert column_norms_sq(n)[-1] == 1.0
+            assert coefficient_table(n).d_sq[-1] == 1.0
 
     @pytest.mark.parametrize("n", [8, 64, 512, 4096])
     def test_decreasing_with_coefficient_differences(self, n):
-        d_sq = column_norms_sq(n)
+        d_sq = coefficient_table(n).d_sq
         r = wallis_coeffs(n)
         assert np.all(np.diff(d_sq) < 0)
         # d_j^2 - d_{j+1}^2 = r_{n-j}^2, to 1e-14 relative to the d_sq scale
@@ -141,8 +144,13 @@ class TestCoefficientTable:
         table = coefficient_table(50)
         assert table.n == 50
         assert_allclose(table.r, wallis_coeffs(50), rtol=0)
-        assert_allclose(table.rtilde, inverse_coeffs(50), rtol=0)
-        assert_allclose(table.d_sq, column_norms_sq(50), rtol=0)
+        # Exact rationals as the oracle: rtilde_j = -r_j / (2j - 1) and
+        # d_sq[j - 1] = sum_{t<=n-j} r_t^2.
+        exact = [exact_coeff(k) for k in range(50)]
+        rtilde = [Fraction(1)] + [-exact[j] / (2 * j - 1) for j in range(1, 50)]
+        d_sq = list(itertools.accumulate(c * c for c in exact))[::-1]
+        assert_allclose(table.rtilde, [float(v) for v in rtilde], rtol=1e-15)
+        assert_allclose(table.d_sq, [float(v) for v in d_sq], rtol=1e-15)
         assert abs(table.alpha[-1] - landau_alpha(50)) < 1e-14
 
 

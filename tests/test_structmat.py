@@ -1,6 +1,8 @@
 """Tests for the structured-matrix kernels, with dense matmul and direct
 convolution as oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,13 +10,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from countfact.sequences import inverse_coeffs, wallis_coeffs
+from countfact.sequences import coefficient_table, wallis_coeffs
 from countfact.structmat import (
-    CirculantSpectrum,
     LowerTriangularToeplitz,
+    RealConvolution,
     circulant_extension_spectrum,
-    circulant_first_column,
-    circulant_sqrt,
+    circulant_half_spectrum,
     counting_matrix,
 )
 
@@ -45,19 +46,26 @@ def extension_pattern(n):
     return circulant(np.concatenate((np.ones(n), np.zeros(n))))
 
 
-def full_spectrum(spec):
-    # All m eigenvalues: dc at index 0, the stored ones at odd indices, and
-    # zeros at the other even indices.
-    lam = np.zeros(spec.m, dtype=np.complex128)
-    lam[0] = spec.dc
-    lam[1::2] = spec.odd
+def full_spectrum(dc, odd):
+    # All 2n eigenvalues: dc at index 0, the n given ones at odd indices,
+    # and zeros at the other even indices.
+    lam = np.zeros(2 * odd.size, dtype=np.complex128)
+    lam[0] = dc
+    lam[1::2] = odd
     return lam
 
 
-def complex_path_column(spec):
+def root_column(n):
+    # The production dense column: one irfft of length 2n over the half
+    # spectrum.
+    return RealConvolution.from_half_spectrum(circulant_half_spectrum(n)).col
+
+
+def complex_path_column(n):
     # The former production path: real part of the complex inverse DFT of
-    # the full length-m spectrum.
-    return np.fft.ifft(full_spectrum(spec)).real
+    # all 2n principal roots of the extension's eigenvalues.
+    roots = full_spectrum(math.sqrt(n), np.sqrt(circulant_extension_spectrum(n)))
+    return np.fft.ifft(roots).real
 
 
 class TestLowerTriangularToeplitz:
@@ -72,7 +80,7 @@ class TestLowerTriangularToeplitz:
     def test_inverse_column_gives_identity(self):
         n = 4
         c = LowerTriangularToeplitz(wallis_coeffs(n)).to_dense()
-        c_inv = LowerTriangularToeplitz(inverse_coeffs(n)).to_dense()
+        c_inv = LowerTriangularToeplitz(coefficient_table(n).rtilde).to_dense()
         assert_allclose(c @ c_inv, np.eye(n), atol=1e-15)
 
     @pytest.mark.parametrize("n", [5, 32, 128])
@@ -120,69 +128,82 @@ class TestLowerTriangularToeplitz:
 class TestCirculantExtension:
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_spectrum_values(self, n):
-        spec = circulant_extension_spectrum(n)
-        assert spec.m == 2 * n
-        assert spec.dc == n
-        assert spec.odd.shape == (n,)
+        lam = circulant_extension_spectrum(n)
+        assert lam.shape == (n,) and lam.dtype == np.complex128
+        assert not lam.flags.writeable
         # eigenvalues are the unnormalized transform of the 0/1 first column,
-        # which vanishes at every even index but 0
+        # which is n at index 0 and vanishes at every other even index
         col = np.concatenate((np.ones(n), np.zeros(n)))
-        assert np.abs(full_spectrum(spec) - np.fft.fft(col)).max() <= 1e-12 * max(n, 1)
+        assert np.abs(full_spectrum(n, lam) - np.fft.fft(col)).max() <= 1e-12 * max(n, 1)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_conjugate_symmetry_and_reconstruction(self, n):
-        spec = circulant_extension_spectrum(n)
-        lam = full_spectrum(spec)
-        assert np.abs(lam[1:] - np.conj(lam[1:][::-1])).max() <= 1e-12
-        dense = circulant(circulant_first_column(spec))
+        lam = circulant_extension_spectrum(n)
+        assert np.abs(lam - np.conj(lam[::-1])).max() <= 1e-12
+        dense = circulant(np.fft.ifft(full_spectrum(n, lam)).real)
         assert np.abs(dense - extension_pattern(n)).max() <= 1e-9
         # top-left block is the counting matrix itself
         assert np.array_equal(extension_pattern(n)[:n, :n], counting_matrix(n))
 
     @pytest.mark.parametrize("n", [2.5, 4.0, 0])
     def test_rejects_non_integer_or_nonpositive_size(self, n):
-        with pytest.raises(TypeError if n else ValueError):
-            circulant_extension_spectrum(n)
+        for spectrum in (circulant_extension_spectrum, circulant_half_spectrum):
+            with pytest.raises(TypeError if n else ValueError):
+                spectrum(n)
 
 
 class TestCirculantSqrt:
+    # The root is circulant_half_spectrum(n), the Hermitian half of the
+    # principal roots of the extension's eigenvalues.
+
     def test_fixed_points_and_branch(self):
-        spec = CirculantSpectrum(m=4, dc=1.0, odd=np.array([1 - 1j, 1 + 1j]))
-        root = circulant_sqrt(spec)
-        assert root.m == 4
-        assert root.dc == 1.0
-        z = root.odd[0]
-        assert z.real > 0
-        assert_allclose(abs(z), 2 ** 0.25, rtol=1e-15)
-        assert_allclose(z * z, 1 - 1j, rtol=1e-15)
-        assert root.odd[1] == np.conj(z)
+        for n in (1, 2, 3, 8, 61):
+            half = circulant_half_spectrum(n)
+            assert half.shape == (n + 1,) and not half.flags.writeable
+            assert half[0] == math.sqrt(n)
+            assert not half[2::2].any()
+            # Every eigenvalue has real part 1, so each principal root has
+            # positive real part; for odd n the middle one is real.
+            roots = half[1::2]
+            assert (roots.real > 0).all()
+            if n % 2:
+                assert roots[-1].imag == 0.0 and abs(roots[-1] - 1.0) <= 1e-15
 
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
     def test_squaring_recovers_spectrum(self, n):
-        spec = circulant_extension_spectrum(n)
-        root = circulant_sqrt(spec)
-        squared = full_spectrum(root) ** 2
-        scale = np.abs(full_spectrum(spec)).max()
-        assert np.abs(squared - full_spectrum(spec)).max() <= 1e-14 * scale
+        # For odd k <= n, bin k squared gives back lambda_k.
+        half = circulant_half_spectrum(n)
+        lam = circulant_extension_spectrum(n)
+        roots = half[1::2]
+        scale = max(n, np.abs(lam).max())
+        assert np.abs(roots ** 2 - lam[: roots.size]).max() <= 1e-14 * scale
+        assert abs(half[0] ** 2 - n) <= 1e-14 * scale
 
     def test_square_root_is_real(self):
-        root = circulant_sqrt(circulant_extension_spectrum(16))
-        col = circulant_first_column(root)
+        # h * h is the half spectrum of the square of the real circulant,
+        # which must be the 0/1 extension.
+        for n in (1, 2, 3, 16, 61, 64):
+            half = circulant_half_spectrum(n)
+            extension = np.concatenate((np.ones(n), np.zeros(n)))
+            assert np.abs(np.fft.irfft(half * half, 2 * n) - extension).max() <= 1e-12
+        col = root_column(16)
         assert col.dtype == np.float64
         dense = circulant(col)
         assert np.abs(dense @ dense - extension_pattern(16)).max() <= 1e-10
 
-    def test_rejects_asymmetric_spectrum(self):
-        # lambda_1 != conj(lambda_3)
-        bad = CirculantSpectrum(m=4, dc=1.0, odd=np.array([1j, 1j]))
+    def test_rejects_asymmetric_spectrum(self, monkeypatch):
+        # lambda_1 != conj(lambda_3), so their roots are no conjugate pair
+        monkeypatch.setattr("countfact.structmat.circulant_extension_spectrum",
+                            lambda n: np.array([1j, 1j]))
         with pytest.raises(ValueError, match="conjugate-symmetric"):
-            circulant_first_column(bad)
+            circulant_half_spectrum(2)
 
-    def test_rejects_non_real_middle_eigenvalue(self):
-        # At m = 6 the odd index 3 is its own partner, so it must be real.
-        bad = CirculantSpectrum(m=6, dc=1.0, odd=np.array([1.0, 1j, 1.0]))
+    def test_rejects_non_real_middle_eigenvalue(self, monkeypatch):
+        # At n = 3 the odd index 3 is its own partner, so it must be real.
+        monkeypatch.setattr("countfact.structmat.circulant_extension_spectrum",
+                            lambda n: np.array([1.0, 1j, 1.0]))
         with pytest.raises(ValueError, match="conjugate-symmetric"):
-            circulant_first_column(bad)
+            circulant_half_spectrum(3)
 
 
 @pytest.mark.parametrize("n", list(range(1, 65)) + [2**k for k in range(7, 17)])
@@ -190,7 +211,6 @@ def test_column_matches_complex_path(n):
     # The irfft of the Hermitian half spectrum against the real part of the
     # complex ifft of all 2n root eigenvalues; odd n puts a nonzero
     # eigenvalue in the Nyquist bin.
-    root = circulant_sqrt(circulant_extension_spectrum(n))
-    col = circulant_first_column(root)
+    col = root_column(n)
     assert col.shape == (2 * n,)
-    assert np.abs(col - complex_path_column(root)).max() <= 4e-16
+    assert np.abs(col - complex_path_column(n)).max() <= 4e-16
