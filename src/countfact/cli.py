@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Subcommands: coeffs, factorize, metrics, bounds, sweep, simulate.
-Exit codes: 0 success, 1 invariant violation under --check, 2 usage error.
+Exit codes: 0 success, 1 invariant violation under --check, 2 usage or write error.
 All numeric output is emitted at 17 significant digits with a '.' decimal
 separator, which round-trips float64 bitwise.
 """
@@ -21,7 +21,7 @@ from . import bounds as bounds_mod
 from . import factorizations as fz
 from . import metrics as mt
 from .mechanism import MechanismConfig, check_parameters, estimate_errors
-from .sequences import coefficient_table
+from .sequences import check_size, coefficient_table
 from .structmat import DENSE_BUDGET, counting_matrix
 
 EXIT_OK = 0
@@ -39,15 +39,15 @@ LOWER_BOUND_METHOD = "lower-bound"  # method column for bound rows
 CHECK_FALSE_ALARM = 1e-6
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(x) -> str:
+    """One output cell: a float at 17 significant digits, anything else by str."""
+    return format(float(x), ".17g") if isinstance(x, float) else str(x)
 
 
 def _print_table(pairs) -> None:
     width = max(len(name) for name, _ in pairs)
     for name, value in pairs:
-        text = _fmt(value) if isinstance(value, float) else str(value)
-        print(f"{name:<{width}}  {text}")
+        print(f"{name:<{width}}  {_fmt(value)}")
 
 
 def _print_report(report, extras) -> None:
@@ -132,8 +132,7 @@ def _write_csv(path: str, header, rows, append: bool = False) -> None:
         if write_header:
             handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                                  for v in row) + "\n")
+            handle.write(",".join(map(_fmt, row)) + "\n")
 
 
 def write_sweep_csv(path: str, rows) -> None:
@@ -229,15 +228,14 @@ def write_sweep_svg(path: str, rows) -> None:
 
 def cmd_coeffs(args) -> int:
     table = coefficient_table(args.n)
+    columns = (table.r, table.rtilde, table.d_sq, table.alpha)
+    rows = list(zip(range(args.n), *(c.tolist() for c in columns)))
     print(f"coefficient table at n = {args.n}")
     print(f"{'k':>6} {'r':>24} {'rtilde':>24} {'d_sq[j=k+1]':>24} {'alpha[m=k+1]':>24}")
-    for k in range(args.n):
-        print(f"{k:>6} {_fmt(table.r[k]):>24} {_fmt(table.rtilde[k]):>24} "
-              f"{_fmt(table.d_sq[k]):>24} {_fmt(table.alpha[k]):>24}")
+    for k, *values in rows:
+        print(f"{k:>6} " + " ".join(f"{_fmt(v):>24}" for v in values))
     if args.csv:
-        columns = (table.r, table.rtilde, table.d_sq, table.alpha)
-        _write_csv(args.csv, ("k", "r", "rtilde", "d_sq", "alpha"),
-                   zip(range(args.n), *(c.tolist() for c in columns)))
+        _write_csv(args.csv, ("k", "r", "rtilde", "d_sq", "alpha"), rows)
     if args.check:
         return _run_checks("coeffs", _coeff_checks(table))
     return EXIT_OK
@@ -322,18 +320,24 @@ def cmd_metrics(args) -> int:
     return EXIT_OK
 
 
-def _metric_checks(method: str, n: int, report) -> list[str]:
+def _point_checks(maxse: float, meanse: float | None, nuclear: float) -> list[str]:
+    """The orderings at one (method, n) point; a meanse of None is skipped."""
     failures = []
-    if report.meanse > report.maxse * (1 + 1e-12):
+    if meanse is not None and meanse > maxse * (1 + 1e-12):
         failures.append("meanse exceeds maxse")
+    if nuclear > maxse * (1 + 1e-9):
+        failures.append("nuclear lower bound exceeds maxse")
+    return failures
+
+
+def _metric_checks(method: str, n: int, report) -> list[str]:
+    failures = _point_checks(report.maxse, report.meanse,
+                             bounds_mod.nuclear_lower_bound(n))
     if report.closed_form_maxse is not None:
         rel = abs(report.maxse - report.closed_form_maxse) / report.closed_form_maxse
         tol = 1e-12 if method == fz.SQRT else 1e-9
         if rel > tol:
             failures.append(f"direct maxse deviates from closed form by {rel:.3e}")
-    nuclear = bounds_mod.nuclear_lower_bound(n)
-    if nuclear > report.maxse * (1 + 1e-9):
-        failures.append("nuclear lower bound exceeds maxse")
     return failures
 
 
@@ -367,40 +371,33 @@ def _writable(path: str) -> bool:
     return os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
 
 
+def _name_list(text: str, kind: str, known) -> list[str]:
+    """The names in a comma-separated option; refuses an empty list and any
+    name not in known."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise UsageError(f"empty {kind} set")
+    bad = [name for name in names if name not in known]
+    if bad:
+        raise UsageError(f"unknown {kind}(s): {', '.join(bad)}")
+    return names
+
+
 def cmd_sweep(args) -> int:
     if args.threads < 1:
         raise UsageError(f"--threads must be at least 1, got {args.threads}")
-    methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    metrics = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    known = set(fz.METHODS) | {LOWER_BOUND_METHOD}
-    if not methods:
-        raise UsageError("empty method set")
-    bad = [m for m in methods if m not in known]
-    if bad:
-        raise UsageError(f"unknown method(s): {', '.join(bad)}")
-    bad = [m for m in metrics if m not in mt.METRICS + BOUND_METRICS]
-    if bad:
-        raise UsageError(f"unknown metric(s): {', '.join(bad)}")
-    if not metrics:
-        raise UsageError("empty metric set")
+    methods = _name_list(args.methods, "method", fz.METHODS + (LOWER_BOUND_METHOD,))
+    metrics = _name_list(args.metrics, "metric", mt.METRICS + BOUND_METRICS)
     sizes = sweep_sizes(args.n_min, args.n_max, args.geometric)
 
     factor_methods = [m for m in methods if m in fz.METHODS]
     rows = sweep_rows(factor_methods, metrics, sizes, threads=args.threads)
     if not rows:
         raise UsageError("the selected methods, metrics and sizes yield no rows")
-    try:
-        write_sweep_csv(args.out, rows)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     if args.svg:
-        try:
-            write_sweep_svg(args.svg, rows)
-        except OSError as exc:
-            print(f"error: cannot write {args.svg}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        write_sweep_svg(args.svg, rows)
         print(f"wrote {args.svg}")
     if args.check:
         return _run_checks("sweep", _sweep_checks(rows))
@@ -419,13 +416,9 @@ def _sweep_checks(rows) -> list[str]:
     nuclear = {n: by_point.get((LOWER_BOUND_METHOD, n), {}).get("nuclear_lb")
                or bounds_mod.nuclear_lower_bound(n) for n in sizes}
     for (method, n), values in sorted(by_point.items()):
-        if method == LOWER_BOUND_METHOD:
-            continue
-        if mt.MAXSE in values and mt.MEANSE in values:
-            if values[mt.MEANSE] > values[mt.MAXSE] * (1 + 1e-12):
-                failures.append(f"meanse > maxse at ({method}, {n})")
-        if mt.MAXSE in values and nuclear[n] > values[mt.MAXSE] * (1 + 1e-9):
-            failures.append(f"nuclear bound above maxse at ({method}, {n})")
+        if method != LOWER_BOUND_METHOD and mt.MAXSE in values:
+            checks = _point_checks(values[mt.MAXSE], values.get(mt.MEANSE), nuclear[n])
+            failures += [f"{message} at ({method}, {n})" for message in checks]
     for n in sorted(sizes):
         nsr_v = by_point.get((fz.NSR, n), {}).get(mt.MAXSE)
         sqrt_v = by_point.get((fz.SQRT, n), {}).get(mt.MAXSE)
@@ -461,22 +454,12 @@ def cmd_simulate(args) -> int:
         ]
     else:
         z_summary = []  # sigma = 0: no standardized deviations to report
-    _print_table([
-        ("method", args.method),
-        ("n", args.n),
-        ("mu", float(args.mu)),
-        ("trials", args.trials),
-        ("seed", args.seed),
-        ("empirical_err_inf", result.empirical_err_inf),
-        ("empirical_err_2", result.empirical_err_2),
-        ("theory_err_inf", result.theory_err_inf),
-        ("theory_err_2", result.theory_err_2),
-    ] + z_summary)
+    values = (args.n, args.method, args.mu, args.trials, args.seed,
+              result.empirical_err_inf, result.empirical_err_2,
+              result.theory_err_inf, result.theory_err_2)
+    _print_table(list(zip(SIMULATE_HEADER, values)) + z_summary)
     if args.csv:
-        _write_csv(args.csv, SIMULATE_HEADER, [(
-            args.n, args.method, args.mu, args.trials, args.seed,
-            result.empirical_err_inf, result.empirical_err_2,
-            result.theory_err_inf, result.theory_err_2)], append=True)
+        _write_csv(args.csv, SIMULATE_HEADER, [values], append=True)
     if args.check:
         failures = []
         if np.isfinite(result.z_mean).all():
@@ -600,18 +583,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    paths = [getattr(args, flag, None) for flag in ("csv", "out", "svg")]
+    dump = getattr(args, "dump", None)
+    paths += _dump_paths(dump) if dump else [dump]
     try:
+        if hasattr(args, "n"):  # every subcommand but sweep
+            check_size(args.n)
         # Every given output path, the empty one too, is checked before any
         # computation, which can be long.
-        paths = [getattr(args, flag, None) for flag in ("csv", "out", "svg")]
-        dump = getattr(args, "dump", None)
-        paths += _dump_paths(dump) if dump else [dump]
         for path in paths:
             if path is not None and not _writable(path):
                 raise UsageError(f"cannot write {path or repr(path)}")
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        # Only simulate's --input is read, and simulate reports it itself.  A
+        # write that fails after open carries no file name: name every output.
+        name = exc.filename or " or ".join(path for path in paths if path)
+        print(f"error: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

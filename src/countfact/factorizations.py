@@ -36,30 +36,22 @@ GROUP_ALGEBRA = "group-algebra"
 METHODS = (SQRT, NSR, GROUP_ALGEBRA)
 
 
-class ColumnScaled:
+class ColumnScaled(LowerTriangularToeplitz):
     """A lower-triangular Toeplitz matrix with column k divided by scale[k]."""
 
-    __slots__ = ("base", "scale")
+    __slots__ = ("scale",)
 
-    def __init__(self, base: LowerTriangularToeplitz, scale: np.ndarray):
-        if scale.shape != (base.n,):
+    def __init__(self, col, scale: np.ndarray):
+        super().__init__(col)
+        if scale.shape != (self.n,):
             raise ValueError("scale length must match matrix size")
-        self.base = base
         self.scale = scale
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.base.shape
-
     def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.base.apply(np.asarray(x) / self.scale)
+        return super().apply(np.asarray(x) / self.scale)
 
     def to_dense(self) -> np.ndarray:
-        return self.base.to_dense() / self.scale
+        return super().to_dense() / self.scale
 
 
 class NsrLeft(RealConvolution):
@@ -255,7 +247,7 @@ def nsr_factorization(n: int) -> Factorization:
     factor M D C^{-1} carries all the norm growth."""
     table = coefficient_table(n)
     d = np.sqrt(table.d_sq)
-    right = ColumnScaled(LowerTriangularToeplitz(table.r), d)
+    right = ColumnScaled(table.r, d)
     row_sq = nsr_row_norms_sq(n)
     left = NsrLeft(table.rtilde, d)
     return Factorization(

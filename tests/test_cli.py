@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from countfact import bounds as bounds_mod
 from countfact import cli
 from countfact import factorizations as fz
+from countfact import metrics as mt
 from countfact.cli import main
 
 
@@ -101,7 +103,7 @@ class TestFactorize:
             f = original(method, n)
             d = f.right.scale * (1.0 + 1e-6)
             return dataclasses.replace(f, left=fz.NsrLeft(f.left.col, d),
-                                       right=fz.ColumnScaled(f.right.base, d))
+                                       right=fz.ColumnScaled(f.right.col, d))
 
         monkeypatch.setattr(fz, "factorize", perturbed)
         code, _, err = run_cli(capsys, "factorize", "--method", "nsr", "--n", "64",
@@ -179,6 +181,15 @@ class TestSweep:
         path = tmp_path / "never.csv"
         code, _, _ = run_cli(capsys, "sweep", "--methods", "qr", "--out", str(path))
         assert code == 2
+        assert not path.exists()
+
+    @pytest.mark.parametrize("metrics, message", [("", "empty metric set"),
+                                                  ("bogus", "unknown metric(s): bogus")])
+    def test_bad_metrics_exit_2_without_file(self, capsys, tmp_path, metrics, message):
+        path = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "sweep", "--metrics", metrics, "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {message}\n"
         assert not path.exists()
 
     @pytest.mark.parametrize("selection", [
@@ -387,6 +398,89 @@ class TestEmptyOutputPath:
         assert "cannot write ''" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
+
+
+FULL = "/dev/full"  # every write to it fails with ENOSPC
+
+
+@pytest.mark.skipif(not os.path.exists(FULL), reason=f"no {FULL} on this system")
+class TestWriteFailure:
+    """A write that fails after the paths were checked exits 2 and names
+    the file, whichever subcommand writes it."""
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--methods", "sqrt", "--n-max", "16", "--out", FULL),
+        ("sweep", "--methods", "sqrt", "--n-max", "16", "--out", "sweep.csv",
+         "--svg", FULL),
+        ("coeffs", "--n", "4", "--csv", FULL),
+        ("metrics", "--method", "nsr", "--n", "4", "--csv", FULL),
+        ("bounds", "--n", "4", "--csv", FULL),
+        ("simulate", "--method", "nsr", "--n", "4", "--trials", "2", "--csv", FULL),
+        ("factorize", "--method", "nsr", "--n", "4", "--dump", "dump"),
+    ], ids=["sweep-out", "sweep-svg", "coeffs", "metrics", "bounds", "simulate",
+            "factorize-dump"])
+    def test_full_device_exits_2(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        failing = FULL
+        if argv[0] == "factorize":
+            failing = "dump_left.csv"
+            os.symlink(FULL, failing)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: cannot write ")
+        assert failing in err and "No space left on device" in err
+
+
+class TestSizeCheckedFirst:
+    @pytest.mark.parametrize("argv", [
+        ("coeffs",),
+        ("factorize", "--method", "nsr"),
+        ("metrics", "--method", "nsr"),
+        ("bounds",),
+        ("simulate", "--method", "nsr", "--trials", "2"),
+    ], ids=["coeffs", "factorize", "metrics", "bounds", "simulate"])
+    @pytest.mark.parametrize("n", ["-3", "0"])
+    def test_bad_n_exits_2_before_any_work(self, capsys, monkeypatch, argv, n):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{argv[0]} worked before checking --n")
+
+        for target in ("countfact.factorizations.factorize",
+                       "countfact.cli.estimate_errors", "countfact.cli.coefficient_table",
+                       "countfact.metrics.error_report", "countfact.bounds.bound_report"):
+            monkeypatch.setattr(target, must_not_run)
+        code, out, err = run_cli(capsys, *argv, "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: n must be an integer >= 1, got {n}\n"
+
+
+class TestPointChecks:
+    """metrics --check and sweep --check share one rule per (method, n)
+    point; breaking either ordering fails both subcommands."""
+
+    ARGV = [
+        ("metrics", "--method", "sqrt", "--n", "16", "--check"),
+        ("sweep", "--methods", "sqrt,nsr", "--metrics", "maxse,meanse", "--n-max", "16",
+         "--out", "sweep.csv", "--check"),
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV, ids=["metrics", "sweep"])
+    def test_meanse_above_maxse_fails(self, capsys, tmp_path, monkeypatch, argv):
+        maxse = mt.maxse
+        monkeypatch.setattr(mt, "meanse", lambda f: 2.0 * maxse(f))
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"CHECK FAIL [{argv[0]}] meanse exceeds maxse" in err
+        assert "nuclear" not in err
+
+    @pytest.mark.parametrize("argv", ARGV, ids=["metrics", "sweep"])
+    def test_nuclear_bound_above_maxse_fails(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.setattr(bounds_mod, "nuclear_lower_bound", lambda n: 1e300)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert f"CHECK FAIL [{argv[0]}] nuclear lower bound exceeds maxse" in err
+        assert "meanse" not in err
 
 
 class TestSimulate:

@@ -25,7 +25,6 @@ from countfact import (
 )
 from countfact.factorizations import (
     METHODS,
-    ColumnScaled,
     NsrLeft,
     _nsr_delta_q,
     group_algebra_factorization,
@@ -381,11 +380,10 @@ class TestOperatorSpectrum:
         f = factorize(method, 64)
         rng = np.random.default_rng(0)
         ops = (f.left, f.right)  # one shared object for sqrt
-        kernels = [op.base if isinstance(op, ColumnScaled) else op for op in ops]
-        assert all(kernel._spectrum is None for kernel in kernels)
-        for op, kernel in zip(ops, kernels):
+        assert all(op._spectrum is None for op in ops)
+        for op in ops:
             op.apply(rng.standard_normal(op.shape[1]))
-            assert kernel._spectrum is not None
+            assert op._spectrum is not None
 
     def test_group_algebra_apply_never_builds_the_column(self):
         # The kernel starts from the half spectrum; only a dense view builds
