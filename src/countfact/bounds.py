@@ -4,8 +4,9 @@ asymptotics behind them.
 The singular values of the counting matrix are 1 / (2 sin((2j-1) pi / (4n+2)))
 for j = 1..n, so its nuclear norm over n is a pure cosecant sum; the same is
 true of the older spectral bound it improves on.  All sums here go through
-metrics._cosecant_sum, one vectorized compensated sum that rounds the
-exact sum of its positive terms once.
+sequences._cosecant_sum, one vectorized compensated sum that rounds the
+exact sum of its positive terms once; the Mathias bound reads the memoized
+odd sum that the group-algebra factorization's norm also reads.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .sequences import CONSTANTS, EULER_GAMMA, check_size
-from .metrics import _cosecant_sum, _odd_cosecant_sum, residual_offset
+from .sequences import CONSTANTS, EULER_GAMMA, _cosecant_sum, _odd_cosecant_sum, check_size
+from .metrics import residual_offset
 
 
 def nuclear_lower_bound(n: int) -> float:

@@ -126,8 +126,8 @@ def sweep_rows(methods, metrics, sizes, threads: int = 1):
 
 def _write_csv(path: str, header, rows, append: bool = False) -> None:
     """Write rows under a header, floats at 17 significant digits.  An
-    appended file gets the header only when it is new."""
-    write_header = not (append and os.path.exists(path))
+    appended file gets the header only when it is absent or empty."""
+    write_header = not (append and os.path.exists(path) and os.path.getsize(path))
     with open(path, "a" if append else "w", encoding="utf-8", newline="") as handle:
         if write_header:
             handle.write(",".join(header) + "\n")
@@ -310,13 +310,14 @@ def cmd_factorize(args) -> int:
 
 
 def cmd_metrics(args) -> int:
-    report = mt.error_report(args.method, args.n)
+    f = fz.factorize(args.method, args.n)
+    report = mt.error_report(args.method, args.n, factorization=f)
     _print_report(report, ("closed_form_maxse", "closed_form_meanse"))
     if args.csv:
         _write_csv(args.csv, SWEEP_HEADER,
                    _report_rows(args.n, args.method, report, mt.METRICS), append=True)
     if args.check:
-        return _run_checks("metrics", _metric_checks(args.method, args.n, report))
+        return _run_checks("metrics", _metric_checks(f, report))
     return EXIT_OK
 
 
@@ -330,14 +331,21 @@ def _point_checks(maxse: float, meanse: float | None, nuclear: float) -> list[st
     return failures
 
 
-def _metric_checks(method: str, n: int, report) -> list[str]:
+def _metric_checks(f, report) -> list[str]:
     failures = _point_checks(report.maxse, report.meanse,
-                             bounds_mod.nuclear_lower_bound(n))
-    if report.closed_form_maxse is not None:
-        rel = abs(report.maxse - report.closed_form_maxse) / report.closed_form_maxse
-        tol = 1e-12 if method == fz.SQRT else 1e-9
-        if rel > tol:
-            failures.append(f"direct maxse deviates from closed form by {rel:.3e}")
+                             bounds_mod.nuclear_lower_bound(f.n))
+    # The group-algebra norm is stored as its closed form, so its oracle is
+    # the squared norm of the operator's column: one irfft of the half
+    # spectrum.
+    if f.method == fz.SQRT:
+        oracle, tol = report.closed_form_maxse, 1e-12
+    elif f.method == fz.GROUP_ALGEBRA:
+        oracle, tol = math.fsum(np.square(f.left.col)), 1e-9
+    else:
+        return failures
+    rel = abs(report.maxse - oracle) / oracle
+    if rel > tol:
+        failures.append(f"direct maxse deviates from its oracle by {rel:.3e}")
     return failures
 
 

@@ -10,22 +10,24 @@
 
 Every constructor also computes the norm profiles the error metrics read
 (row norms of the left factor, column norms of the right factor, Frobenius
-norm of the left factor) without materializing anything dense.
+norm of the left factor), read-only, without materializing anything dense.
+The group-algebra profiles are one float, the odd cosecant sum, and its
+operators build their spectrum only when first applied.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import check_size, coefficient_table
+from .sequences import _odd_cosecant_sum, check_size, coefficient_table
 from .structmat import (
     LowerTriangularToeplitz,
     RealConvolution,
     circulant_block,
     circulant_half_spectrum,
-    circulant_norm_sq,
     counting_matrix,
     fft_length,
 )
@@ -54,13 +56,14 @@ class ColumnScaled(LowerTriangularToeplitz):
         return super().to_dense() / self.scale
 
 
-class NsrLeft(RealConvolution):
-    """Left factor M D C^{-1} of the normalized square root, unmaterialized.
+class NsrLeft(LowerTriangularToeplitz):
+    """Left factor M D C^{-1} of the normalized square root, unmaterialized:
+    C^{-1}, the lower-triangular Toeplitz matrix of rtilde, with its rows
+    scaled by D and then summed by M.
 
-    ``col`` is rtilde, the first column of C^{-1}.  Column k (0-based) is
-    the running prefix sum of rtilde[t] * d[k + t], t = 0..n-1-k; the
-    diagonal entry is d[k].  Its row norms come from nsr_row_norms_sq in
-    O(n log n) time and O(n) memory.
+    Column k (0-based) is the running prefix sum of rtilde[t] * d[k + t],
+    t = 0..n-1-k; the diagonal entry is d[k].  Its row norms come from
+    nsr_row_norms_sq in O(n log n) time and O(n) memory.
     """
 
     __slots__ = ("d",)
@@ -69,20 +72,12 @@ class NsrLeft(RealConvolution):
         super().__init__(rtilde)
         self.d = d
 
-    @property
-    def n(self) -> int:
-        return self.d.size
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
     def apply(self, y: np.ndarray) -> np.ndarray:
         return np.cumsum(self.d * self._convolve(y)[: self.n])
 
     def to_dense(self) -> np.ndarray:
         # Column k of C^{-1} holds rtilde[: n - k] from row k down.
-        dense = LowerTriangularToeplitz(self.col).to_dense()
+        dense = super().to_dense()
         for k in range(self.n):
             dense[k:, k] = np.cumsum(dense[k:, k] * self.d[k:])
         return dense
@@ -94,8 +89,9 @@ class CirculantSlice:
     The full circulant has entry (j, k) = col[(j - k) mod 2n]; ``left``
     keeps the first n rows (n x 2n), ``right`` the first n columns
     (2n x n).  Both slices of one circulant share one length-2n kernel,
-    built from the circulant's half spectrum: apply convolves with that
-    spectrum directly, and the column is built only for a dense view.
+    whose half spectrum is computed by the first apply or dense view: apply
+    convolves with it directly, and the column is built only for a dense
+    view.
     """
 
     __slots__ = ("kernel", "side")
@@ -257,7 +253,7 @@ def nsr_factorization(n: int) -> Factorization:
         right=right,
         inner_dim=n,
         row_norms_sq_left=row_sq,
-        col_norms_sq_right=np.ones(n),
+        col_norms_sq_right=np.broadcast_to(1.0, n),
         frobenius_sq_left=float(np.sum(row_sq)),
     )
 
@@ -268,21 +264,24 @@ def group_algebra_factorization(n: int) -> Factorization:
     The spectrum of the extension is known in closed form, its square root
     is taken eigenvalue-wise, and the factors are the first n rows
     (respectively columns) of the resulting real circulant.  All rows of
-    the left factor and all columns of the right factor share one norm,
-    which comes from the root's half spectrum by Parseval; the column
-    itself is never built unless a dense view asks for it.
+    the left factor and all columns of the right factor share one squared
+    norm.  By Parseval it is (1/2n) sum_k |lambda_k| over the 2n
+    eigenvalues: 1/2 + (1/2n) sum_{l=1..n} csc(pi (2l - 1) / (2n)), read
+    from the memoized odd cosecant sum.  The half spectrum is computed only
+    when a factor is first applied or made dense, so the norms never build
+    it.
     """
-    half = circulant_half_spectrum(n)
-    full = circulant_norm_sq(half)
-    kernel = RealConvolution.from_half_spectrum(half)
+    full = 0.5 + _odd_cosecant_sum(n) / (2 * n)
+    norms = np.broadcast_to(full, n)  # read-only, one float for every entry
+    kernel = RealConvolution(2 * n, functools.partial(circulant_half_spectrum, n))
     return Factorization(
         method=GROUP_ALGEBRA,
         n=n,
         left=CirculantSlice(kernel, "left"),
         right=CirculantSlice(kernel, "right"),
         inner_dim=2 * n,
-        row_norms_sq_left=np.full(n, full),
-        col_norms_sq_right=np.full(n, full),
+        row_norms_sq_left=norms,
+        col_norms_sq_right=norms,
         frobenius_sq_left=n * full,
     )
 

@@ -11,7 +11,7 @@ from functools import cached_property
 import numpy as np
 
 from .factorizations import GROUP_ALGEBRA, NSR, SQRT, Factorization, factorize
-from .sequences import CONSTANTS, _compensated_sum, check_size, coefficient_table
+from .sequences import CONSTANTS, _odd_cosecant_sum, check_size, coefficient_table
 
 MAXSE = "maxse"
 MEANSE = "meanse"
@@ -41,26 +41,6 @@ def closed_form_maxse_sqrt(n: int) -> float:
     """MaxSE of the square-root factorization: sum_{j<n} r_j^2 exactly."""
     table = coefficient_table(n)
     return math.fsum(table.r * table.r)
-
-
-def _cosecant_sum(numerators: np.ndarray, denominator: int) -> float:
-    """sum csc(pi num / den) over the numerators, by the vectorized
-    compensated sum (Ogita-Rump-Oishi Sum2), which rounds the exact sum of
-    these positive terms once, up to a relative (m eps)^2.
-
-    Each argument is rounded as fl(fl(pi num) / den), so every term is the
-    one the direct expression 1 / np.sin(np.pi * num / den) gives.
-    """
-    terms = np.pi * numerators
-    terms /= denominator
-    np.sin(terms, out=terms)
-    np.divide(1.0, terms, out=terms)
-    return _compensated_sum(terms)
-
-
-def _odd_cosecant_sum(n: int) -> float:
-    """sum_{l=1..n} csc(pi (2l - 1) / (2n)), for an n already checked."""
-    return _cosecant_sum(np.arange(1, 2 * n, 2), 2 * n)
 
 
 def closed_form_maxse_group_algebra(n: int) -> float:

@@ -94,6 +94,32 @@ def _compensated_sum(values: np.ndarray) -> float:
     return total + error
 
 
+def _cosecant_sum(numerators: np.ndarray, denominator: int) -> float:
+    """sum csc(pi num / den) over the numerators, by _compensated_sum, which
+    rounds the exact sum of these positive terms once, up to a relative
+    (m eps)^2.
+
+    Each argument is rounded as fl(fl(pi num) / den), so every term is the
+    one the direct expression 1 / np.sin(np.pi * num / den) gives.
+    """
+    terms = np.pi * numerators
+    terms /= denominator
+    np.sin(terms, out=terms)
+    np.divide(1.0, terms, out=terms)
+    return _compensated_sum(terms)
+
+
+@functools.lru_cache(maxsize=64)
+def _odd_cosecant_sum(n: int) -> float:
+    """sum_{l=1..n} csc(pi (2l - 1) / (2n)), for an n already checked.
+
+    Memoized for the last 64 sizes, one float each, more than a geometric
+    sweep visits, so the group-algebra norm and the Mathias bound at one n
+    sum once.
+    """
+    return _cosecant_sum(np.arange(1, 2 * n, 2), 2 * n)
+
+
 def wallis_coeffs(n: int) -> np.ndarray:
     """First n Taylor coefficients of (1 - x)^(-1/2).
 

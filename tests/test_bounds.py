@@ -18,10 +18,10 @@ from countfact import (
     nuclear_lower_bound,
     residual_offset,
 )
-from countfact import bounds, metrics
+from countfact import bounds, sequences
 from countfact.bounds import bound_report, cosecant_average
 from countfact.factorizations import METHODS
-from countfact.metrics import _cosecant_sum
+from countfact.sequences import _cosecant_sum
 
 # Every size a cosecant sum is tested at bitwise: all of 1..299, and each
 # power of two up to 2**20 with its successor.
@@ -166,7 +166,7 @@ def test_rejects_non_integer_or_nonpositive_size_before_any_work(monkeypatch, fu
     def no_work(*args):
         raise AssertionError("a cosecant sum ran before n was checked")
 
-    monkeypatch.setattr(metrics, "_cosecant_sum", no_work)
+    monkeypatch.setattr(sequences, "_cosecant_sum", no_work)
     monkeypatch.setattr(bounds, "_cosecant_sum", no_work)
     with pytest.raises(error):
         function(n)

@@ -129,6 +129,25 @@ class TestMetrics:
         assert lines[0] == "n,method,metric,value,residual,predicted_residual"
         assert len(lines) == 5  # header + two rows per invocation
 
+    @pytest.mark.parametrize("n", ["64", "4097"])
+    def test_group_algebra_check_passes(self, capsys, n):
+        code, out, _ = run_cli(capsys, "metrics", "--method", "group-algebra", "--n", n,
+                               "--check")
+        assert code == 0
+        assert "CHECK OK [metrics]" in out
+
+    def test_group_algebra_check_has_an_independent_oracle(self, capsys, monkeypatch):
+        # A stored norm and closed form that agree with each other, both off
+        # by 1e-6, fail against the operator's column.
+        original = fz._odd_cosecant_sum
+        for module in (fz, mt):
+            monkeypatch.setattr(module, "_odd_cosecant_sum",
+                                lambda n: original(n) * (1 + 1e-6))
+        code, _, err = run_cli(capsys, "metrics", "--method", "group-algebra", "--n", "64",
+                               "--check")
+        assert code == 1
+        assert "CHECK FAIL [metrics] direct maxse deviates from its oracle" in err
+
 
 class TestBounds:
     def test_n1_value(self, capsys):
@@ -344,6 +363,22 @@ class TestCsvWriter:
             "2.2117689433623644,2.1277017443554116\n"
             "64,sqrt,0.5,20,2,6.6330534929649065,5.135732293261448,"
             "4.7776962165908694,4.4593529431627807\n")
+
+
+class TestCsvHeader:
+    @pytest.mark.parametrize("argv, header", [
+        (("metrics", "--method", "sqrt", "--n", "8"), cli.SWEEP_HEADER),
+        (("bounds", "--n", "8"), cli.SWEEP_HEADER),
+        (("simulate", "--method", "nsr", "--n", "8", "--trials", "2"),
+         cli.SIMULATE_HEADER),
+    ], ids=["metrics", "bounds", "simulate"])
+    def test_existing_empty_file_gets_the_header(self, capsys, tmp_path, argv, header):
+        path = tmp_path / "rows.csv"
+        path.touch()
+        assert run_cli(capsys, *argv, "--csv", str(path))[0] == 0
+        lines = path.read_text().splitlines()
+        assert lines[0] == ",".join(header)
+        assert len(lines) > 1 and all(line != lines[0] for line in lines[1:])
 
 
 class TestCsvPaths:

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import longdouble_norm_sq, longdouble_roots, mpmath_norm_sq
 
 from countfact import (
     GROUP_ALGEBRA,
@@ -32,10 +33,10 @@ from countfact.factorizations import (
     to_dense,
 )
 from countfact.metrics import error_report, maxse
+from countfact.sequences import _odd_cosecant_sum
 from countfact.structmat import (
     DENSE_BUDGET,
     circulant_block,
-    circulant_extension_spectrum,
     circulant_half_spectrum,
 )
 
@@ -344,34 +345,39 @@ class TestGroupAlgebraFactorization:
 
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_apply_matches_complex_spectrum_path(self, n):
-        # Reference: complex fft/ifft with the closed-form sqrt eigenvalues.
+        # Reference: complex fft/ifft in extended precision with the roots of
+        # the eigenvalues, each from its definition.
         f = group_algebra_factorization(n)
-        lam = np.zeros(2 * n, dtype=np.complex128)
-        lam[0] = math.sqrt(n)
-        lam[1::2] = np.sqrt(circulant_extension_spectrum(n))
+        roots = longdouble_roots(n)
         v = np.random.default_rng(n).standard_normal(2 * n)
-        padded = np.concatenate((v[:n], np.zeros(n)))
-        for got, reference in (
-            (f.left.apply(v), np.fft.ifft(lam * np.fft.fft(v)).real[:n]),
-            (f.right.apply(v[:n]), np.fft.ifft(lam * np.fft.fft(padded)).real),
+        padded = np.concatenate((v[:n], np.zeros(n))).astype(np.longdouble)
+        for got, spectrum, size in (
+            (f.left.apply(v), np.fft.fft(v.astype(np.longdouble)), n),
+            (f.right.apply(v[:n]), np.fft.fft(padded), 2 * n),
         ):
-            assert got.shape == reference.shape
+            reference = np.fft.ifft(roots * spectrum).real[:size]
+            assert got.shape == (size,)
             assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
 
-
-    def test_peak_memory_is_six_n_length_arrays(self):
-        # The n complex roots and the n + 1 bin half spectrum, then the half
-        # spectrum and the 2n-point column: at most 6 float64 arrays of
-        # length n at any time (the full complex path needed 10).
+    def test_norm_profiles_are_one_read_only_array_cold_and_warm(self):
+        # One float stands for both profiles.  Cold, the peak is the odd
+        # cosecant sum: its numerators and terms and the compensated sum's
+        # blocks, measured at 4.5 n-length float64 arrays; warm, the memoized
+        # sum leaves nothing n-long (measured 1,096 bytes).
         n = 2**16
-        group_algebra_factorization(n)  # warm numpy's FFT plan cache
-        tracemalloc.start()
-        try:
-            group_algebra_factorization(n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 6 * 8 * n
+        f = group_algebra_factorization(n)
+        assert f.row_norms_sq_left is f.col_norms_sq_right
+        _odd_cosecant_sum.cache_clear()
+        peaks = []
+        for _ in ("cold", "warm"):
+            tracemalloc.start()
+            try:
+                group_algebra_factorization(n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 4.5 * 8 * n + 4096
+        assert peaks[1] <= 4096
 
 
 class TestOperatorSpectrum:
@@ -386,53 +392,54 @@ class TestOperatorSpectrum:
             assert op._spectrum is not None
 
     def test_group_algebra_apply_never_builds_the_column(self):
-        # The kernel starts from the half spectrum; only a dense view builds
-        # the column, once for both slices.
-        f = group_algebra_factorization(64)
+        # The shared kernel computes its half spectrum on the first apply;
+        # only a dense view builds the column, once for both slices, and
+        # the generating-function definition is its oracle.
+        n = 4
+        f = group_algebra_factorization(n)
         kernel = f.left.kernel
-        spectrum = kernel._spectrum
-        assert spectrum.shape == (65,) and kernel._col is None
+        assert f.right.kernel is kernel
+        assert kernel._spectrum is None and kernel._col is None
         rng = np.random.default_rng(0)
         for op in (f.left, f.right):
             op.apply(rng.standard_normal(op.shape[1]))
-        assert kernel._col is None and kernel._spectrum is spectrum
+        assert kernel._spectrum.shape == (n + 1,) and kernel._col is None
         dense = f.left.to_dense()
         col = kernel._col
         assert col is not None and f.right.col is col
-        assert np.array_equal(dense[0], col[np.arange(0, -128, -1) % 128])
+        left_direct, _ = group_algebra_direct(n)
+        assert np.abs(dense - left_direct.real).max() <= 1e-14
 
     @pytest.mark.parametrize("first", ["left", "right"])
     def test_group_algebra_slices_share_the_half_spectrum(self, first):
-        f = group_algebra_factorization(8)
-        spectrum = f.left.kernel._spectrum
-        assert f.right.kernel._spectrum is spectrum
-        assert not spectrum.flags.writeable
-        ops = (f.left, f.right) if first == "left" else (f.right, f.left)
-        for op in ops:
-            op.apply(np.ones(op.shape[1]))
-        assert f.left.kernel._spectrum is f.right.kernel._spectrum is spectrum
-
-
-def longdouble_parseval(half):
-    # Parseval over the same half spectrum, in extended precision.
-    sq = half.real.astype(np.longdouble) ** 2 + half.imag.astype(np.longdouble) ** 2
-    total = sq[0] + sq[-1] + 2 * np.sum(sq[1:-1])
-    return total / (2 * (half.size - 1))
+        # Whichever slice is applied first computes the spectrum once for
+        # both, and both products match the dense definition.
+        n = 4
+        f = group_algebra_factorization(n)
+        direct = dict(zip(("left", "right"), group_algebra_direct(n)))
+        ops = {"left": f.left, "right": f.right}
+        order = (first, "right" if first == "left" else "left")
+        rng = np.random.default_rng(1)
+        spectrum = None
+        for side in order:
+            op = ops[side]
+            x = rng.standard_normal(op.shape[1])
+            got = op.apply(x)
+            spectrum = spectrum if spectrum is not None else op.kernel._spectrum
+            assert op.kernel._spectrum is spectrum and not spectrum.flags.writeable
+            assert np.abs(got - direct[side].real @ x).max() <= 1e-13
 
 
 class TestGroupAlgebraSpectralNorm:
     @staticmethod
     def check_parseval_norm(n):
+        # The lazily built column has the squared norm that Parseval gives
+        # over the eigenvalues in extended precision.  The stored norm is
+        # the closed form; test_stored_norm_matches_mpmath is its oracle.
         f = group_algebra_factorization(n)
-        half = circulant_half_spectrum(n)
-        assert np.array_equal(f.left.kernel._spectrum, half)
-        full = f.row_norms_sq_left[0]
-        reference = longdouble_parseval(half)
-        assert abs(full - reference) <= 1e-15 * reference, n
-        col = np.fft.irfft(half, 2 * n)
-        dot = float(np.dot(col, col))
-        assert abs(full - dot) <= 1e-14 * dot, n
-        assert f.frobenius_sq_left == n * full
+        reference = longdouble_norm_sq(n)
+        assert abs(math.fsum(np.square(f.left.col)) - reference) <= 1e-14 * reference, n
+        assert f.frobenius_sq_left == n * f.row_norms_sq_left[0]
 
     def test_parseval_norm_small_sizes(self):
         for n in range(1, 301):
@@ -441,6 +448,15 @@ class TestGroupAlgebraSpectralNorm:
     @pytest.mark.parametrize("n", [2**k + j for k in range(9, 21) for j in (0, 1)])
     def test_parseval_norm_large_sizes(self, n):
         self.check_parseval_norm(n)
+
+    def test_stored_norm_matches_mpmath(self):
+        # Within 1e-13 of the 30-digit value; the unreflected cosecant sum
+        # loses accuracy as n grows (worst measured 7.2e-14, at n = 4097).
+        sizes = list(range(1, 301)) + [2**k + j for k in range(9, 13) for j in (0, 1)]
+        for n in sizes:
+            stored = group_algebra_factorization(n).row_norms_sq_left[0]
+            exact = mpmath_norm_sq(n)
+            assert abs(stored - exact) <= 1e-13 * exact, n
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 61, 64, 777])
     def test_dense_slices_are_the_column_blocks(self, n):
@@ -456,6 +472,7 @@ class TestGroupAlgebraSpectralNorm:
             raise AssertionError("the circulant column was built")
 
         monkeypatch.setattr(np.fft, "irfft", must_not_run)
+        monkeypatch.setattr("countfact.factorizations.circulant_half_spectrum", must_not_run)
         report = error_report(GROUP_ALGEBRA, 1024)
         f = factorize(GROUP_ALGEBRA, 1024)
         assert report.maxse == report.meanse == maxse(f) > 0
@@ -473,6 +490,16 @@ def test_stored_profiles_match_dense(method, n):
     assert_allclose(f.row_norms_sq_left, np.einsum("jk,jk->j", left, left), rtol=1e-12)
     assert_allclose(f.col_norms_sq_right, np.einsum("jk,jk->k", right, right), rtol=1e-12)
     assert_allclose(f.frobenius_sq_left, np.einsum("jk,jk->", left, left), rtol=1e-12)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_norm_profiles_are_read_only(method):
+    # A frozen Factorization's norms cannot be changed through its profiles.
+    f = factorize(method, 16)
+    for profile in (f.row_norms_sq_left, f.col_norms_sq_right):
+        assert not profile.flags.writeable
+        with pytest.raises(ValueError):
+            profile[0] = 0.0
 
 
 @pytest.mark.parametrize("method", METHODS)

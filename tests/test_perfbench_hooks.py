@@ -15,10 +15,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench import tracing  # noqa: E402
 
-from countfact import cli  # noqa: E402
+from countfact import cli, factorizations  # noqa: E402
 
-LAYERS = ("structmat.circulant", "factorizations.factorize", "metrics.error_report",
-          "bounds.bound_report", "cli.write")
+LAYERS = ("factorizations.factorize", "metrics.error_report", "bounds.bound_report",
+          "cli.write")
 
 
 @pytest.fixture(scope="module")
@@ -45,9 +45,24 @@ def test_layer_recorded(spans, name):
     assert all(span.end >= span.start for span in recorded)
 
 
-def test_circulant_layer_reads_the_size(spans):
-    sizes = {span.attrs["n"] for span in spans if span.name == "structmat.circulant"}
-    assert sizes == {4, 8, 16, 32, 64}
+def test_half_spectrum_built_only_by_simulate(tmp_path, monkeypatch):
+    # The group-algebra root spectrum, which the structmat.circulant layer
+    # used to trace, is computed by the first apply: a sweep never builds
+    # it, and each simulate builds it once, whatever its trial count.
+    calls = []
+    original = factorizations.circulant_half_spectrum
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(factorizations, "circulant_half_spectrum", counted)
+    assert cli.main(["sweep", "--n-max", "64", "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert calls == []
+    for trials in ("1", "3"):
+        assert cli.main(["simulate", "--method", "group-algebra", "--n", "64",
+                         "--trials", trials]) == 0
+    assert calls == [64, 64]
 
 
 @pytest.mark.parametrize("cls", ["NsrLeft", "CirculantSlice"])

@@ -1,20 +1,22 @@
-"""Tests for the structured-matrix kernels, with dense matmul and direct
-convolution as oracles."""
+"""Tests for the structured-matrix kernels, with dense matmul, direct
+convolution, the dense 0/1 circulant extension and its eigenvalues from
+mpmath and extended precision as oracles."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
+from oracles import longdouble_column, mpmath_eigenvalues, mpmath_roots
 
+from countfact.factorizations import group_algebra_factorization
 from countfact.sequences import coefficient_table, wallis_coeffs
 from countfact.structmat import (
     LowerTriangularToeplitz,
-    RealConvolution,
-    circulant_extension_spectrum,
     circulant_half_spectrum,
     counting_matrix,
 )
@@ -46,26 +48,14 @@ def extension_pattern(n):
     return circulant(np.concatenate((np.ones(n), np.zeros(n))))
 
 
-def full_spectrum(dc, odd):
-    # All 2n eigenvalues: dc at index 0, the n given ones at odd indices,
-    # and zeros at the other even indices.
-    lam = np.zeros(2 * odd.size, dtype=np.complex128)
-    lam[0] = dc
-    lam[1::2] = odd
-    return lam
+def extension_column(n):
+    return np.concatenate((np.ones(n), np.zeros(n)))
 
 
 def root_column(n):
     # The production dense column: one irfft of length 2n over the half
-    # spectrum.
-    return RealConvolution.from_half_spectrum(circulant_half_spectrum(n)).col
-
-
-def complex_path_column(n):
-    # The former production path: real part of the complex inverse DFT of
-    # all 2n principal roots of the extension's eigenvalues.
-    roots = full_spectrum(math.sqrt(n), np.sqrt(circulant_extension_spectrum(n)))
-    return np.fft.ifft(roots).real
+    # spectrum, built lazily by the group-algebra kernel.
+    return group_algebra_factorization(n).left.col
 
 
 class TestLowerTriangularToeplitz:
@@ -128,28 +118,29 @@ class TestLowerTriangularToeplitz:
 class TestCirculantExtension:
     @pytest.mark.parametrize("n", [1, 2, 5, 16])
     def test_spectrum_values(self, n):
-        lam = circulant_extension_spectrum(n)
-        assert lam.shape == (n,) and lam.dtype == np.complex128
-        assert not lam.flags.writeable
-        # eigenvalues are the unnormalized transform of the 0/1 first column,
-        # which is n at index 0 and vanishes at every other even index
-        col = np.concatenate((np.ones(n), np.zeros(n)))
-        assert np.abs(full_spectrum(n, lam) - np.fft.fft(col)).max() <= 1e-12 * max(n, 1)
+        # The squared bins are the extension's eigenvalues: the unnormalized
+        # transform of its 0/1 first column, n at index 0 and 0 at every
+        # other even index.
+        half = circulant_half_spectrum(n)
+        assert half.shape == (n + 1,) and half.dtype == np.complex128
+        assert not half.flags.writeable
+        lam = np.fft.fft(extension_column(n))[: n + 1]
+        assert np.abs(half * half - lam).max() <= 1e-12 * max(n, 1)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16])
     def test_conjugate_symmetry_and_reconstruction(self, n):
-        lam = circulant_extension_spectrum(n)
-        assert np.abs(lam - np.conj(lam[::-1])).max() <= 1e-12
-        dense = circulant(np.fft.ifft(full_spectrum(n, lam)).real)
-        assert np.abs(dense - extension_pattern(n)).max() <= 1e-9
-        # top-left block is the counting matrix itself
+        # The root column is real, and its dense circulant squares to the
+        # dense 0/1 extension, whose top-left block is the counting matrix.
+        col = root_column(n)
+        assert col.shape == (2 * n,) and col.dtype == np.float64
+        dense = circulant(col)
+        assert np.abs(dense @ dense - extension_pattern(n)).max() <= 1e-9
         assert np.array_equal(extension_pattern(n)[:n, :n], counting_matrix(n))
 
     @pytest.mark.parametrize("n", [2.5, 4.0, 0])
     def test_rejects_non_integer_or_nonpositive_size(self, n):
-        for spectrum in (circulant_extension_spectrum, circulant_half_spectrum):
-            with pytest.raises(TypeError if n else ValueError):
-                spectrum(n)
+        with pytest.raises(TypeError if n else ValueError):
+            circulant_half_spectrum(n)
 
 
 class TestCirculantSqrt:
@@ -171,46 +162,42 @@ class TestCirculantSqrt:
 
     @pytest.mark.parametrize("n", [2, 3, 8, 64])
     def test_squaring_recovers_spectrum(self, n):
-        # For odd k <= n, bin k squared gives back lambda_k.
+        # For odd k <= n, bin k squared gives back lambda_k from mpmath.
         half = circulant_half_spectrum(n)
-        lam = circulant_extension_spectrum(n)
+        lam = np.array([complex(value) for value in mpmath_eigenvalues(n)])
         roots = half[1::2]
         scale = max(n, np.abs(lam).max())
-        assert np.abs(roots ** 2 - lam[: roots.size]).max() <= 1e-14 * scale
+        assert np.abs(roots ** 2 - lam).max() <= 1e-14 * scale
         assert abs(half[0] ** 2 - n) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 777, 1024, 4095, 4096])
+    def test_odd_bins_match_mpmath(self, n):
+        # Each odd bin to within 1e-15 relative of the principal root of
+        # lambda_k at 30 digits.
+        roots = circulant_half_spectrum(n)[1::2]
+        exact = mpmath_roots(n)
+        worst = max(abs(mp.mpc(complex(got)) - value) / abs(value)
+                    for got, value in zip(roots, exact))
+        assert worst <= 1e-15
 
     def test_square_root_is_real(self):
         # h * h is the half spectrum of the square of the real circulant,
         # which must be the 0/1 extension.
         for n in (1, 2, 3, 16, 61, 64):
             half = circulant_half_spectrum(n)
-            extension = np.concatenate((np.ones(n), np.zeros(n)))
-            assert np.abs(np.fft.irfft(half * half, 2 * n) - extension).max() <= 1e-12
+            assert np.abs(np.fft.irfft(half * half, 2 * n) - extension_column(n)).max() <= 1e-12
         col = root_column(16)
         assert col.dtype == np.float64
         dense = circulant(col)
         assert np.abs(dense @ dense - extension_pattern(16)).max() <= 1e-10
 
-    def test_rejects_asymmetric_spectrum(self, monkeypatch):
-        # lambda_1 != conj(lambda_3), so their roots are no conjugate pair
-        monkeypatch.setattr("countfact.structmat.circulant_extension_spectrum",
-                            lambda n: np.array([1j, 1j]))
-        with pytest.raises(ValueError, match="conjugate-symmetric"):
-            circulant_half_spectrum(2)
-
-    def test_rejects_non_real_middle_eigenvalue(self, monkeypatch):
-        # At n = 3 the odd index 3 is its own partner, so it must be real.
-        monkeypatch.setattr("countfact.structmat.circulant_extension_spectrum",
-                            lambda n: np.array([1.0, 1j, 1.0]))
-        with pytest.raises(ValueError, match="conjugate-symmetric"):
-            circulant_half_spectrum(3)
-
 
 @pytest.mark.parametrize("n", list(range(1, 65)) + [2**k for k in range(7, 17)])
 def test_column_matches_complex_path(n):
-    # The irfft of the Hermitian half spectrum against the real part of the
-    # complex ifft of all 2n root eigenvalues; odd n puts a nonzero
-    # eigenvalue in the Nyquist bin.
+    # The irfft of the closed-form half spectrum against the real part of
+    # the complex inverse DFT of all 2n roots of the eigenvalues, each from
+    # its definition in extended precision; odd n puts a nonzero eigenvalue
+    # in the Nyquist bin.
     col = root_column(n)
     assert col.shape == (2 * n,)
-    assert np.abs(col - complex_path_column(n)).max() <= 4e-16
+    assert np.abs(col - longdouble_column(n)).max() <= 4e-16
