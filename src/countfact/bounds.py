@@ -4,9 +4,9 @@ asymptotics behind them.
 The singular values of the counting matrix are 1 / (2 sin((2j-1) pi / (4n+2)))
 for j = 1..n, so its nuclear norm over n is a pure cosecant sum; the same is
 true of the older spectral bound it improves on.  All sums here go through
-sequences._cosecant_sum, one vectorized compensated sum that rounds the
-exact sum of its positive terms once; the Mathias bound reads the memoized
-odd sum that the group-algebra factorization's norm also reads.
+sequences._cosecant_sum, one blocked compensated sum that rounds the exact
+sum of its positive terms once; the Mathias bound reads the memoized odd
+sum that the group-algebra factorization's norm also reads.
 """
 
 from __future__ import annotations
@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .sequences import CONSTANTS, EULER_GAMMA, _cosecant_sum, _odd_cosecant_sum, check_size
 from .metrics import residual_offset
@@ -27,7 +25,7 @@ def nuclear_lower_bound(n: int) -> float:
     error norm.  Approaches log(n)/pi + (euler_gamma + log(16/pi))/pi.
     """
     n = check_size(n)
-    return _cosecant_sum(np.arange(1, 2 * n, 2), 4 * n + 2) / (2 * n)
+    return _cosecant_sum(range(1, 2 * n, 2), 4 * n + 2) / (2 * n)
 
 
 def mathias_lower_bound(n: int) -> float:
@@ -47,7 +45,7 @@ def cosecant_average(n: int) -> tuple[float, float]:
     vanishing term as n grows.
     """
     n = check_size(n, 2)
-    value = _cosecant_sum(np.arange(1, n), n) / n
+    value = _cosecant_sum(range(1, n), n) / n
     predicted = (2.0 / math.pi) * (math.log(n) + EULER_GAMMA + math.log(2.0 / math.pi))
     return value, predicted
 

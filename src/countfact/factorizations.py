@@ -152,15 +152,13 @@ def sqrt_factorization(n: int) -> Factorization:
     column, so the max row norm and max column norm coincide."""
     table = coefficient_table(n)
     factor = LowerTriangularToeplitz(table.r)
-    row_norms = table.d_sq[::-1].copy()  # row j holds the first j+1 coefficients
-    row_norms.setflags(write=False)
     return Factorization(
         method=SQRT,
         n=n,
         left=factor,
         right=factor,
         inner_dim=n,
-        row_norms_sq_left=row_norms,
+        row_norms_sq_left=table.d_sq[::-1],  # row j: the first j+1 coefficients
         col_norms_sq_right=table.d_sq,
         frobenius_sq_left=float(np.sum(table.d_sq)),
     )

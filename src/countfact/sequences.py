@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,75 +39,84 @@ def check_size(n, minimum: int = 1) -> int:
     return size
 
 
-def _compensated_cumsum(values: np.ndarray) -> np.ndarray:
-    """Running sums in twice the working precision: the prefix form of
-    cascaded summation (Ogita, Rump & Oishi, "Accurate sum and dot product",
-    SIAM J. Sci. Comput. 26(6), 2005, Algorithm Sum2).
-
-    p = cumsum(x) is corrected by the running sum of its exact rounding
-    errors, e_i = (p_{i-1} - (p_i - z_i)) + (x_i - z_i) with
-    z_i = p_i - p_{i-1} (TwoSum), all vectorized.  Each prefix of m terms,
-    with exact sum s, comes out as res with
-
-        |res - s| <= eps |s| + gamma_{m-1}^2 sum |x_i|,
-
-    eps = 2**-53 and gamma_k = k eps / (1 - k eps).  For nonnegative input
-    that is one rounding of s plus a term of order (m eps)^2, where plain
-    cumsum drifts by up to m - 1 roundings.  Besides the input, at most
-    four n-length arrays are live at once.
-    """
-    x = np.asarray(values, dtype=np.float64)
-    p = np.cumsum(x)
-    e = np.empty_like(p)
-    e[:1] = 0.0
-    e[1:] = p[:-1]
-    z = p - e
-    e -= p - z
-    z -= x
-    e -= z
-    np.cumsum(e, out=e)
-    p += e
-    return p
-
-
-# Block length of _compensated_sum: its working arrays, 256 KiB each, stay
-# in cache.
+# Block length of the compensated kernels: their working arrays, 256 KiB
+# each, stay in cache.
 _SUM_BLOCK = 1 << 15
 
 
-def _compensated_sum(values: np.ndarray) -> float:
-    """Last prefix of _compensated_cumsum(values), bitwise, with working
-    arrays one block long instead of n.
+def _blocks(values):
+    """Consecutive slices of an array or a range, _SUM_BLOCK long but the last."""
+    return (values[i:i + _SUM_BLOCK] for i in range(0, len(values), _SUM_BLOCK))
 
-    Each block's running sum and running error sum start from the previous
-    block's last ones, which is the same sequential recursion.
+
+def _compensated_sum(values, out=None) -> float:
+    """Sum of an array, or of an iterator over its consecutive blocks of at
+    most _SUM_BLOCK values, in twice the working precision: cascaded
+    summation (Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM J.
+    Sci. Comput. 26(6), 2005, Algorithm Sum2).
+
+    Each running sum p_i is corrected by the running sum of the exact
+    rounding errors, e_i = (p_{i-1} - (p_i - z_i)) + (x_i - z_i) with
+    z_i = p_i - p_{i-1} (TwoSum).  Each prefix of m terms, with exact sum
+    s, comes out as res with
+
+        |res - s| <= eps |s| + gamma_{m-1}^2 sum |x_i|,
+
+    eps = 2**-53 and gamma_k = k eps / (1 - k eps): for nonnegative input,
+    one rounding of s plus a term of order (m eps)^2, where plain cumsum
+    drifts by up to m - 1 roundings.  Each block's two running sums start
+    from the previous block's last ones, the same sequential recursion in
+    three working arrays one block long.  The corrected running sums go to
+    ``out`` when given (any view, a reversed one too).
     """
-    x = np.asarray(values, dtype=np.float64)
+    if not isinstance(values, Iterator):
+        values = _blocks(np.asarray(values, dtype=np.float64))
+    p, e, z = np.empty(_SUM_BLOCK + 1), np.empty(_SUM_BLOCK + 1), np.empty(_SUM_BLOCK)
     total = error = 0.0
-    for start in range(0, x.size, _SUM_BLOCK):
-        block = x[start:start + _SUM_BLOCK]
-        p = np.cumsum(np.concatenate(([total], block)))
-        z = p[1:] - p[:-1]
-        e = p[:-1] - (p[1:] - z)
-        e += block - z
-        total = float(p[-1])
-        error = float(np.cumsum(np.concatenate(([error], e)))[-1])
-    return total + error
+    start = 0
+    for x in values:
+        m = x.size
+        pb, eb, zb = p[:m + 1], e[:m + 1], z[:m]
+        pb[0], eb[0] = total, error
+        pb[1:] = x
+        np.cumsum(pb, out=pb)
+        np.subtract(pb[1:], pb[:-1], out=zb)
+        np.subtract(pb[1:], zb, out=eb[1:])
+        np.subtract(pb[:-1], eb[1:], out=eb[1:])
+        zb -= x
+        eb[1:] -= zb
+        np.cumsum(eb, out=eb)
+        total, error = pb[m], eb[m]
+        if out is not None:
+            np.add(pb[1:], eb[1:], out=out[start:start + m])
+        start += m
+    return float(total + error)
 
 
-def _cosecant_sum(numerators: np.ndarray, denominator: int) -> float:
-    """sum csc(pi num / den) over the numerators, by _compensated_sum, which
-    rounds the exact sum of these positive terms once, up to a relative
-    (m eps)^2.
+def _compensated_cumsum(values, out=None) -> np.ndarray:
+    """The corrected running sums of _compensated_sum(values), in ``out``."""
+    out = np.empty(len(values)) if out is None else out
+    _compensated_sum(values, out)
+    return out
+
+
+def _cosecant_sum(numerators: range, denominator: int) -> float:
+    """sum csc(pi num / den) over the numerators, one block of terms at a
+    time, by _compensated_sum, which rounds the exact sum of these positive
+    terms once, up to a relative (m eps)^2.
 
     Each argument is rounded as fl(fl(pi num) / den), so every term is the
     one the direct expression 1 / np.sin(np.pi * num / den) gives.
     """
-    terms = np.pi * numerators
-    terms /= denominator
-    np.sin(terms, out=terms)
-    np.divide(1.0, terms, out=terms)
-    return _compensated_sum(terms)
+    def terms():
+        for part in _blocks(numerators):
+            t = np.arange(part.start, part.stop, part.step, dtype=np.float64)
+            t *= np.pi
+            t /= denominator
+            np.sin(t, out=t)
+            yield np.divide(1.0, t, out=t)
+
+    return _compensated_sum(terms())
 
 
 @functools.lru_cache(maxsize=64)
@@ -117,7 +127,7 @@ def _odd_cosecant_sum(n: int) -> float:
     sweep visits, so the group-algebra norm and the Mathias bound at one n
     sum once.
     """
-    return _cosecant_sum(np.arange(1, 2 * n, 2), 2 * n)
+    return _cosecant_sum(range(1, 2 * n, 2), 2 * n)
 
 
 def wallis_coeffs(n: int) -> np.ndarray:
@@ -130,10 +140,11 @@ def wallis_coeffs(n: int) -> np.ndarray:
         1 / (pi (k + 4/pi - 1)) <= r_k^2 <= 1 / (pi (k + 1/4)),  k >= 1.
     """
     n = check_size(n)
-    k = np.arange(n, dtype=np.float64)
-    factors = np.ones(n)
-    factors[1:] = (2.0 * k[1:] - 1.0) / (2.0 * k[1:])
-    return np.cumprod(factors)
+    r = np.arange(-1.0, 2.0 * n - 2.0, 2.0)  # 2k - 1 at index k
+    for block in _blocks(r[1:]):
+        np.divide(block, block + 1.0, out=block)
+    r[0] = 1.0
+    return np.multiply.accumulate(r, out=r)
 
 
 def landau_alpha(n: int) -> float:
@@ -205,7 +216,8 @@ def coefficient_table(n: int) -> CoefficientTable:
     rebuilding an evicted size costs O(n).
     """
     r = wallis_coeffs(n)
-    d_sq = _compensated_cumsum(r * r)[::-1].copy()
+    d_sq = np.empty(n)
+    _compensated_cumsum((block * block for block in _blocks(r)), d_sq[::-1])
     for arr in (r, d_sq):
         arr.setflags(write=False)
     return CoefficientTable(n=n, r=r, d_sq=d_sq)

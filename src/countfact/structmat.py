@@ -72,7 +72,9 @@ class LowerTriangularToeplitz(RealConvolution):
     __slots__ = ()
 
     def __init__(self, col):
-        col = np.array(col, dtype=np.float64)
+        col = np.asarray(col, dtype=np.float64)
+        if col.flags.writeable:  # a read-only float64 column is shared
+            col = col.copy()
         if col.ndim != 1 or col.size == 0:
             raise ValueError("first column must be a nonempty 1-D array")
         col.setflags(write=False)

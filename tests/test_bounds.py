@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from memory import BLOCK_WORKSPACE, traced_peak
 from numpy.testing import assert_allclose
 
 from countfact import (
@@ -31,10 +32,10 @@ COSECANT_SIZES = sorted(set(range(1, 300)) | {2**k + e for k in range(21) for e 
 def cosecant_families(n):
     # (numerators, denominator) of the three sums: Mathias and group-algebra
     # closed form, nuclear bound, cosecant average G(n).
-    odd = np.arange(1, 2 * n, 2)
+    odd = range(1, 2 * n, 2)
     families = {"odd": (odd, 2 * n), "nuclear": (odd, 4 * n + 2)}
     if n >= 2:
-        families["average"] = (np.arange(1, n), n)
+        families["average"] = (range(1, n), n)
     return families
 
 
@@ -149,11 +150,19 @@ def test_cosecant_sum_equals_fsum_bitwise():
     mismatches = []
     for n in COSECANT_SIZES:
         for family, (num, den) in cosecant_families(n).items():
-            expected = math.fsum(1.0 / np.sin(np.pi * num / den))
+            terms = 1.0 / np.sin(np.pi * np.arange(num.start, num.stop, num.step) / den)
+            expected = math.fsum(terms)
             got = _cosecant_sum(num, den)
             if got != expected:
                 mismatches.append((family, n, (got - expected) / math.ulp(expected)))
     assert mismatches == []
+
+
+@pytest.mark.parametrize("n", [2**16, 2**18])
+def test_cosecant_sums_work_in_a_few_blocks(n):
+    # One n-independent bound; at 2**18 it is below one n-length array.
+    for family, (num, den) in cosecant_families(n).items():
+        assert traced_peak(lambda: _cosecant_sum(num, den)) <= BLOCK_WORKSPACE, family
 
 
 CHECKED_SIZE_FUNCTIONS = [nuclear_lower_bound, mathias_lower_bound, cosecant_average,

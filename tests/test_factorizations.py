@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from memory import BLOCK_WORKSPACE, traced_peak
 from numpy.testing import assert_allclose
 from oracles import longdouble_norm_sq, longdouble_roots, mpmath_norm_sq
 
@@ -361,22 +362,15 @@ class TestGroupAlgebraFactorization:
 
     def test_norm_profiles_are_one_read_only_array_cold_and_warm(self):
         # One float stands for both profiles.  Cold, the peak is the odd
-        # cosecant sum: its numerators and terms and the compensated sum's
-        # blocks, measured at 4.5 n-length float64 arrays; warm, the memoized
-        # sum leaves nothing n-long (measured 1,096 bytes).
+        # cosecant sum, which builds its terms one block at a time (measured
+        # 1,313,390 bytes, five blocks); warm, the memoized sum leaves
+        # nothing n-long (measured 1,088 bytes).
         n = 2**16
         f = group_algebra_factorization(n)
         assert f.row_norms_sq_left is f.col_norms_sq_right
         _odd_cosecant_sum.cache_clear()
-        peaks = []
-        for _ in ("cold", "warm"):
-            tracemalloc.start()
-            try:
-                group_algebra_factorization(n)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        assert peaks[0] <= 4.5 * 8 * n + 4096
+        peaks = [traced_peak(lambda: group_algebra_factorization(n)) for _ in ("cold", "warm")]
+        assert peaks[0] <= BLOCK_WORKSPACE
         assert peaks[1] <= 4096
 
 

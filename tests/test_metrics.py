@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from memory import BLOCK_WORKSPACE, traced_peak
 from numpy.testing import assert_allclose
 
 from countfact import (
@@ -12,6 +13,7 @@ from countfact import (
     SQRT,
     closed_form_maxse_group_algebra,
     closed_form_maxse_sqrt,
+    coefficient_table,
     error_report,
     factorize,
     maxse,
@@ -111,6 +113,15 @@ class TestPredictedResiduals:
 
 
 class TestErrorReport:
+    def test_sqrt_report_adds_nothing_n_long_to_the_table(self):
+        # Cold, the peak is the coefficient table's two arrays and the
+        # compensated sum's blocks; warm, the factors share the table's
+        # column and the row profile is a view of its d_sq.
+        n = 2**16
+        coefficient_table.cache_clear()
+        assert traced_peak(lambda: error_report(SQRT, n)) <= 2 * 8 * n + BLOCK_WORKSPACE
+        assert traced_peak(lambda: error_report(SQRT, n)) <= 4096
+
     def test_residual_definition(self):
         report = error_report(NSR, 16)
         assert report.maxse_residual == report.maxse - residual_offset(16)

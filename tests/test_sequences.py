@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from memory import BLOCK_WORKSPACE, traced_peak
 from numpy.testing import assert_allclose
 
 from countfact import CONSTANTS, coefficient_table, error_report, landau_alpha
@@ -140,6 +141,11 @@ class TestCoefficientTable:
             with pytest.raises(ValueError):
                 arr[0] = 2.0
 
+    def test_peak_memory_is_the_two_outputs_and_a_few_blocks(self):
+        n = 2**16
+        coefficient_table.cache_clear()
+        assert traced_peak(lambda: coefficient_table(n)) <= 2 * 8 * n + BLOCK_WORKSPACE
+
     def test_consistent_with_operations(self):
         table = coefficient_table(50)
         assert table.n == 50
@@ -247,6 +253,21 @@ class TestCompensatedCumsum:
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n))
         assert _compensated_sum(x) == (_compensated_cumsum(x)[-1] if n else 0.0)
+
+    @pytest.mark.parametrize("n", [_SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1,
+                                   3 * _SUM_BLOCK + 5, 2**20])
+    def test_table_bit_identical_to_kahan_at_block_edges(self, kahan_wallis_prefix, n):
+        # The table squares r and sums it one block at a time, writing d_sq
+        # in descending order.
+        assert np.array_equal(coefficient_table(n).d_sq[::-1], kahan_wallis_prefix[:n])
+
+    def test_reversed_out_holds_the_reversed_prefixes(self):
+        n = 3 * _SUM_BLOCK + 5
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n))
+        out = np.empty(n)
+        assert _compensated_cumsum(x, out=out[::-1]).base is out
+        assert np.array_equal(out, _compensated_cumsum(x)[::-1])
 
     def test_read_only_and_reversed_views(self):
         x = np.random.default_rng(1).standard_normal(1001)

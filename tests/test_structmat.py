@@ -13,7 +13,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 from oracles import longdouble_column, mpmath_eigenvalues, mpmath_roots
 
-from countfact.factorizations import group_algebra_factorization
+from countfact.factorizations import factorize, group_algebra_factorization
 from countfact.sequences import coefficient_table, wallis_coeffs
 from countfact.structmat import (
     LowerTriangularToeplitz,
@@ -113,6 +113,22 @@ class TestLowerTriangularToeplitz:
         assert spectrum is not None and spectrum.size == a.fft_size // 2 + 1 == 129
         assert np.array_equal(a.apply(y), LowerTriangularToeplitz(a.col).apply(y))
         assert a._spectrum is spectrum
+
+    def test_read_only_columns_are_shared_and_writable_ones_copied(self):
+        n = 1000
+        table = coefficient_table(n)
+        f = factorize("sqrt", n)
+        assert np.shares_memory(f.left.col, table.r)
+        assert np.shares_memory(f.row_norms_sq_left, table.d_sq)
+        # A writable column is copied: changing it before the first apply,
+        # which computes the spectrum, leaves the operator as it was built.
+        col = np.random.default_rng(4).standard_normal(n)
+        x = np.random.default_rng(5).standard_normal(n)
+        expected = LowerTriangularToeplitz(col.copy()).apply(x)
+        a = LowerTriangularToeplitz(col)
+        col[:] = 0.0
+        assert not np.shares_memory(a.col, col) and not a.col.flags.writeable
+        assert np.array_equal(a.apply(x), expected)
 
 
 class TestCirculantExtension:
