@@ -102,14 +102,16 @@ def _report_rows(n, method, report, metrics) -> list[tuple]:
     return [(n, method, metric, *_ROW_GETTERS[metric](report)) for metric in metrics]
 
 
-def sweep_rows(methods, metrics, sizes, threads: int = 1):
+def sweep_rows(methods, metrics, sizes):
     """One (n, method, metric, value, residual, predicted) tuple per point,
-    sorted by (method, metric, n) so the output is deterministic regardless
-    of worker completion order."""
+    sorted by (method, metric, n), so the rows do not depend on the number
+    of workers.  The pool has one worker per CPU, at most four: each worker
+    holds the arrays of one point, so the cap bounds peak memory."""
     method_metrics = [m for m in mt.METRICS if m in metrics]
     bound_metrics = [m for m in BOUND_METRICS if m in metrics]
 
-    def point(method, n):
+    def point(task):
+        method, n = task
         if method == LOWER_BOUND_METHOD:
             return _report_rows(n, method, bounds_mod.bound_report(n), bound_metrics)
         return _report_rows(n, method, mt.error_report(method, n), method_metrics)
@@ -117,9 +119,8 @@ def sweep_rows(methods, metrics, sizes, threads: int = 1):
     points = [(method, n) for method in methods for n in sizes] if method_metrics else []
     if bound_metrics:
         points += [(LOWER_BOUND_METHOD, n) for n in sizes]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        tasks = [pool.submit(point, method, n) for method, n in points]
-        rows = [row for task in tasks for row in task.result()]
+    with concurrent.futures.ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
+        rows = [row for point_rows in pool.map(point, points) for row in point_rows]
     rows.sort(key=lambda row: (row[1], row[2], row[0]))
     return rows
 
@@ -275,8 +276,10 @@ def _dump_paths(prefix: str) -> tuple[str, str]:
 
 
 def cmd_factorize(args) -> int:
-    if args.dump and args.n > DENSE_BUDGET:
-        raise UsageError(f"--dump needs n <= {DENSE_BUDGET}")
+    # Both build dense matrices; refused before the factorization is built.
+    for flag in ("dump", "check"):
+        if getattr(args, flag) and args.n > DENSE_BUDGET:
+            raise UsageError(f"--{flag} needs n <= {DENSE_BUDGET}")
     f = fz.factorize(args.method, args.n)
     report = mt.error_report(args.method, args.n, factorization=f)
     _print_table([
@@ -295,16 +298,14 @@ def cmd_factorize(args) -> int:
             print(f"wrote {path}")
     if args.check:
         failures = []
-        if args.n <= DENSE_BUDGET:
-            deviation = fz.verify_reconstruction(f)
-            if deviation > 1e-9:
-                failures.append(f"reconstruction deviates by {deviation:.3e}")
-            if args.method == fz.NSR:
-                right = fz.to_dense(f.right)
-                gap = np.abs(np.einsum("jk,jk->k", right, right) - 1.0).max()
-                if gap > 1e-12:
-                    failures.append(
-                        f"right-factor columns deviate from unit norm by {gap:.3e}")
+        deviation = fz.verify_reconstruction(f)
+        if deviation > 1e-9:
+            failures.append(f"reconstruction deviates by {deviation:.3e}")
+        if args.method == fz.NSR:
+            right = fz.to_dense(f.right)
+            gap = np.abs(np.einsum("jk,jk->k", right, right) - 1.0).max()
+            if gap > 1e-12:
+                failures.append(f"right-factor columns deviate from unit norm by {gap:.3e}")
         return _run_checks("factorize", failures)
     return EXIT_OK
 
@@ -392,14 +393,12 @@ def _name_list(text: str, kind: str, known) -> list[str]:
 
 
 def cmd_sweep(args) -> int:
-    if args.threads < 1:
-        raise UsageError(f"--threads must be at least 1, got {args.threads}")
     methods = _name_list(args.methods, "method", fz.METHODS + (LOWER_BOUND_METHOD,))
     metrics = _name_list(args.metrics, "metric", mt.METRICS + BOUND_METRICS)
     sizes = sweep_sizes(args.n_min, args.n_max, args.geometric)
 
     factor_methods = [m for m in methods if m in fz.METHODS]
-    rows = sweep_rows(factor_methods, metrics, sizes, threads=args.threads)
+    rows = sweep_rows(factor_methods, metrics, sizes)
     if not rows:
         raise UsageError("the selected methods, metrics and sizes yield no rows")
     write_sweep_csv(args.out, rows)
@@ -568,8 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="powers of two (default) vs every integer size")
     p.add_argument("--out", required=True, metavar="CSV", help="output CSV path")
     p.add_argument("--svg", metavar="SVG", help="optional SVG line chart")
-    p.add_argument("--threads", type=int, default=4,
-                   help="worker threads for sweep points")
     p.add_argument("--check", action="store_true",
                    help="verify ordering invariants at every point; exit 1 on violation")
     p.set_defaults(func=cmd_sweep)

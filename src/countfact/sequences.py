@@ -191,17 +191,18 @@ class CoefficientTable:
 
     @functools.cached_property
     def rtilde(self) -> np.ndarray:
-        rtilde = np.empty(self.n)
-        rtilde[0] = 1.0
-        j = np.arange(1, self.n, dtype=np.float64)
-        rtilde[1:] = -self.r[1:] / (2.0 * j - 1.0)
+        rtilde = np.arange(-1.0, 2.0 * self.n - 2.0, 2.0)  # 2j - 1 at index j
+        np.divide(self.r, rtilde, out=rtilde)
+        np.negative(rtilde, out=rtilde)  # rtilde[0] = -(1 / -1) = 1
         rtilde.setflags(write=False)
         return rtilde
 
     @functools.cached_property
     def alpha(self) -> np.ndarray:
-        m = np.arange(1, self.n + 1, dtype=np.float64)
-        alpha = self.d_sq[::-1] - np.log(m) / math.pi
+        alpha = np.arange(1.0, self.n + 1.0)  # m at index m - 1
+        np.log(alpha, out=alpha)
+        alpha /= math.pi
+        np.subtract(self.d_sq[::-1], alpha, out=alpha)
         alpha.setflags(write=False)
         return alpha
 

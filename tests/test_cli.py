@@ -89,6 +89,17 @@ class TestFactorize:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_check_over_budget_exits_2_before_computing(self, capsys, monkeypatch):
+        # Every factorize check is dense: above the budget it would check nothing.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("factorize computed before checking --check's size")
+
+        monkeypatch.setattr("countfact.factorizations.factorize", must_not_run)
+        code, out, err = run_cli(capsys, "factorize", "--method", "nsr", "--n", "5000",
+                                 "--check")
+        assert (code, out) == (2, "")
+        assert err == "error: --check needs n <= 4096\n"
+
     def test_unknown_method_exits_2(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["factorize", "--method", "qr", "--n", "4"])
@@ -247,25 +258,43 @@ class TestSweep:
     def test_check_passes_ordering(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, out, _ = run_cli(capsys, "sweep", "--n-min", "4", "--n-max", "64",
-                               "--out", str(path), "--check", "--threads", "2")
+                               "--out", str(path), "--check")
         assert code == 0
         assert "CHECK OK" in out
 
-
-    @pytest.mark.parametrize("threads", ["0", "-5"])
-    def test_threads_below_one_exits_2_before_computing(self, capsys, tmp_path,
-                                                        monkeypatch, threads):
+    @pytest.mark.parametrize("threads", ["2", "4"])
+    def test_threads_is_unrecognized_before_computing(self, capsys, tmp_path,
+                                                      monkeypatch, threads):
         def must_not_run(*args, **kwargs):
-            raise AssertionError("sweep computed with fewer than one thread")
+            raise AssertionError("sweep computed with an unknown option")
 
         monkeypatch.setattr(cli, "sweep_rows", must_not_run)
         path = tmp_path / "never.csv"
-        code, out, err = run_cli(capsys, "sweep", "--threads", threads,
-                                 "--out", str(path))
-        assert code == 2
-        assert "--threads" in err
-        assert out == ""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--threads", threads, "--out", str(path)])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: --threads {threads}" in captured.err
+        assert captured.out == ""
         assert not path.exists()
+
+    def test_rows_do_not_depend_on_the_worker_count(self, capsys, tmp_path, monkeypatch):
+        workers = []
+
+        class Recorded(cli.concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", Recorded)
+        outputs = []
+        for cpus in (1, 2, 8, None):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            path = tmp_path / f"sweep-{cpus}.csv"
+            assert run_cli(capsys, "sweep", "--out", str(path))[0] == 0
+            outputs.append(path.read_bytes())
+        assert workers == [1, 2, 4, 1]
+        assert outputs[1:] == outputs[:1] * 3
 
     @pytest.mark.parametrize("metrics", ["maxse,meanse,nuclear_lb,mathias_lb",
                                          "maxse"])

@@ -65,6 +65,16 @@ def test_half_spectrum_built_only_by_simulate(tmp_path, monkeypatch):
     assert calls == [64, 64]
 
 
+def test_sweep_points_hang_under_sweep_rows(spans):
+    # perfbench's cli.sweep_rows.wait_ms and parallel_ratio read only the
+    # children of that span: 3 methods and the bounds at 5 sizes.
+    (sweep,) = [span for span in spans if span.name == "cli.sweep_rows"]
+    points = [span for span in spans
+              if span.name in ("metrics.error_report", "bounds.bound_report")]
+    assert len(points) == 20
+    assert all(span.parent == sweep.id for span in points)
+
+
 @pytest.mark.parametrize("cls", ["NsrLeft", "CirculantSlice"])
 def test_apply_recorded_per_class(spans, cls):
     applies = [span for span in spans

@@ -124,7 +124,7 @@ class TestCoefficientTable:
 
     def test_cache_holds_at_most_two_tables_after_a_sweep(self):
         sizes = [2**k for k in range(2, 17)]
-        sweep_rows(("sqrt", "nsr"), ("maxse", "meanse"), sizes, threads=4)
+        sweep_rows(("sqrt", "nsr"), ("maxse", "meanse"), sizes)
         assert coefficient_table.cache_info().currsize <= 2
 
     def test_rtilde_and_alpha_computed_on_first_read(self):
@@ -145,6 +145,14 @@ class TestCoefficientTable:
         n = 2**16
         coefficient_table.cache_clear()
         assert traced_peak(lambda: coefficient_table(n)) <= 2 * 8 * n + BLOCK_WORKSPACE
+
+    @pytest.mark.parametrize("field", ["rtilde", "alpha"])
+    def test_lazy_field_peak_memory_is_its_output(self, field):
+        # Each is filled in place; a temporary would add n floats.
+        n = 2**16
+        coefficient_table.cache_clear()
+        table = coefficient_table(n)
+        assert traced_peak(lambda: getattr(table, field)) <= 8 * n + 4096
 
     def test_consistent_with_operations(self):
         table = coefficient_table(50)
