@@ -294,7 +294,7 @@ def cmd_factorize(args) -> int:
     ])
     if args.dump:
         for path, mat in zip(_dump_paths(args.dump), (f.left, f.right)):
-            np.savetxt(path, fz.to_dense(mat), fmt="%.17g", delimiter=",")
+            np.savetxt(path, mat.to_dense(), fmt="%.17g", delimiter=",")
             print(f"wrote {path}")
     if args.check:
         failures = []
@@ -302,7 +302,7 @@ def cmd_factorize(args) -> int:
         if deviation > 1e-9:
             failures.append(f"reconstruction deviates by {deviation:.3e}")
         if args.method == fz.NSR:
-            right = fz.to_dense(f.right)
+            right = f.right.to_dense()
             gap = np.abs(np.einsum("jk,jk->k", right, right) - 1.0).max()
             if gap > 1e-12:
                 failures.append(f"right-factor columns deviate from unit norm by {gap:.3e}")
@@ -381,9 +381,9 @@ def _writable(path: str) -> bool:
 
 
 def _name_list(text: str, kind: str, known) -> list[str]:
-    """The names in a comma-separated option; refuses an empty list and any
-    name not in known."""
-    names = [name.strip() for name in text.split(",") if name.strip()]
+    """The names in a comma-separated option, each once, in first-seen
+    order; refuses an empty list and any name not in known."""
+    names = list(dict.fromkeys(name.strip() for name in text.split(",") if name.strip()))
     if not names:
         raise UsageError(f"empty {kind} set")
     bad = [name for name in names if name not in known]
@@ -444,11 +444,9 @@ def cmd_simulate(args) -> int:
         try:
             x = np.loadtxt(args.input, delimiter=",", dtype=np.float64).reshape(-1)
         except OSError as exc:
-            print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"cannot read {args.input}: {exc}") from None
         if x.shape != (args.n,):
-            print(f"error: input length {x.size} != n = {args.n}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"input length {x.size} != n = {args.n}")
     f = fz.factorize(args.method, args.n)
     cfg = MechanismConfig(factorization=f, mu=args.mu, trials=args.trials,
                           seed=args.seed, input=x)
@@ -604,8 +602,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
-        # Only simulate's --input is read, and simulate reports it itself.  A
-        # write that fails after open carries no file name: name every output.
+        # Only simulate's --input is read, and a failed read is a UsageError.
+        # A write that fails after open carries no file name: name every output.
         name = exc.filename or " or ".join(path for path in paths if path)
         print(f"error: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -24,9 +24,8 @@ import numpy as np
 
 from .sequences import _odd_cosecant_sum, check_size, coefficient_table
 from .structmat import (
+    CirculantSlice,
     LowerTriangularToeplitz,
-    RealConvolution,
-    circulant_block,
     circulant_half_spectrum,
     counting_matrix,
     fft_length,
@@ -76,55 +75,9 @@ class NsrLeft(LowerTriangularToeplitz):
         return np.cumsum(self.d * self._convolve(y)[: self.n])
 
     def to_dense(self) -> np.ndarray:
-        # Column k of C^{-1} holds rtilde[: n - k] from row k down.
-        dense = super().to_dense()
-        for k in range(self.n):
-            dense[k:, k] = np.cumsum(dense[k:, k] * self.d[k:])
-        return dense
-
-
-class CirculantSlice:
-    """n-row or n-column slice of the 2n x 2n circulant square root.
-
-    The full circulant has entry (j, k) = col[(j - k) mod 2n]; ``left``
-    keeps the first n rows (n x 2n), ``right`` the first n columns
-    (2n x n).  Both slices of one circulant share one length-2n kernel,
-    whose half spectrum is computed by the first apply or dense view: apply
-    convolves with it directly, and the column is built only for a dense
-    view.
-    """
-
-    __slots__ = ("kernel", "side")
-
-    def __init__(self, kernel: RealConvolution, side: str):
-        if side not in ("left", "right"):
-            raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-        self.kernel = kernel
-        self.side = side
-
-    @property
-    def col(self) -> np.ndarray:
-        return self.kernel.col
-
-    @property
-    def m(self) -> int:
-        return self.kernel.fft_size
-
-    @property
-    def n(self) -> int:
-        return self.m // 2
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.m) if self.side == "left" else (self.m, self.n)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        # The right slice's input is zero-padded to length m by the rfft.
-        out = self.kernel._convolve(v)
-        return out[: self.n] if self.side == "left" else out
-
-    def to_dense(self) -> np.ndarray:
-        return circulant_block(self.col, self.shape)
+        # Rows scaled by D, then summed down by M; the +0.0 entries above the
+        # diagonal leave each column's running sum bit for bit unchanged.
+        return np.cumsum(self.d[:, None] * super().to_dense(), axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -271,12 +224,12 @@ def group_algebra_factorization(n: int) -> Factorization:
     """
     full = 0.5 + _odd_cosecant_sum(n) / (2 * n)
     norms = np.broadcast_to(full, n)  # read-only, one float for every entry
-    kernel = RealConvolution(2 * n, functools.partial(circulant_half_spectrum, n))
+    spectrum = functools.partial(circulant_half_spectrum, n)
     return Factorization(
         method=GROUP_ALGEBRA,
         n=n,
-        left=CirculantSlice(kernel, "left"),
-        right=CirculantSlice(kernel, "right"),
+        left=CirculantSlice((n, 2 * n), 2 * n, spectrum),
+        right=CirculantSlice((2 * n, n), 2 * n, spectrum),
         inner_dim=2 * n,
         row_norms_sq_left=norms,
         col_norms_sq_right=norms,
@@ -300,17 +253,10 @@ def factorize(method: str, n: int) -> Factorization:
     return constructor(check_size(n))
 
 
-def to_dense(mat) -> np.ndarray:
-    """Dense view of a matrix handle (ndarrays pass through)."""
-    if isinstance(mat, np.ndarray):
-        return mat
-    return mat.to_dense()
-
-
 def verify_reconstruction(factorization: Factorization) -> float:
     """Max-abs deviation of left @ right from the counting matrix.
 
     Dense verification: to_dense refuses n above DENSE_BUDGET.
     """
-    product = to_dense(factorization.left) @ to_dense(factorization.right)
+    product = factorization.left.to_dense() @ factorization.right.to_dense()
     return float(np.abs(product - counting_matrix(factorization.n)).max())

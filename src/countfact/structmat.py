@@ -1,8 +1,8 @@
-"""Structured-matrix kernels: convolution with a lazily computed half
-spectrum, lower-triangular Toeplitz matrices stored by first column, the
-closed-form half spectrum of the real square root of the counting matrix's
-2n x 2n circulant extension, and the one budgeted dense materialization of
-both."""
+"""Structured-matrix kernels: blocks of a real circulant, applied through a
+lazily computed half spectrum (lower-triangular Toeplitz matrices among
+them), the closed-form half spectrum of the real square root of the
+counting matrix's 2n x 2n circulant extension, and the one budgeted dense
+materialization of every block."""
 
 from __future__ import annotations
 
@@ -24,24 +24,31 @@ def fft_length(n: int) -> int:
     return 1 << (2 * n - 1).bit_length()
 
 
-class RealConvolution:
-    """Kernel shared by the structured operators: circular convolution of
-    length ``fft_size`` with a fixed real column, by one rfft/irfft pair
-    through the column's half spectrum.
+class CirculantSlice:
+    """Top-left ``shape`` block of the real circulant of length ``fft_size``
+    with first column col: entry (j, k) = col[(j - k) mod fft_size].
 
-    ``half_spectrum`` computes that spectrum and runs on the first product,
-    so an operator that is never applied (as in every sweep) never pays for
-    it.  A kernel built without its column computes the column from the
-    spectrum, by one irfft, when it is first read.
+    ``apply`` is one circular convolution of the zero-padded input with col,
+    by an rfft/irfft pair through the column's half spectrum, cut to
+    shape[0] entries.  ``half_spectrum`` computes that spectrum and runs on
+    the first product, so an operator that is never applied (as in every
+    sweep) never pays for it.  An operator built without its column computes
+    it from the spectrum, by one irfft, when a dense view first reads it.
     """
 
-    __slots__ = ("_col", "fft_size", "_half_spectrum", "_spectrum")
+    __slots__ = ("shape", "fft_size", "_half_spectrum", "_spectrum", "_col")
 
-    def __init__(self, fft_size: int, half_spectrum, col: np.ndarray | None = None):
-        self._col = col
+    def __init__(self, shape: tuple[int, int], fft_size: int, half_spectrum,
+                 col: np.ndarray | None = None):
+        self.shape = shape
         self.fft_size = fft_size
         self._half_spectrum = half_spectrum
         self._spectrum = None
+        self._col = col
+
+    @property
+    def n(self) -> int:
+        return min(self.shape)
 
     @property
     def spectrum(self) -> np.ndarray:
@@ -57,14 +64,25 @@ class RealConvolution:
         return self._col
 
     def _convolve(self, x: np.ndarray) -> np.ndarray:
+        # rfft would silently truncate a longer input or pad a shorter one.
+        if np.shape(x) != (self.shape[1],):
+            raise ValueError(f"input must have shape ({self.shape[1]},), got {np.shape(x)}")
         size = self.fft_size
         return np.fft.irfft(np.fft.rfft(x, size) * self.spectrum, size)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return self._convolve(x)[: self.shape[0]]
 
-class LowerTriangularToeplitz(RealConvolution):
+    def to_dense(self) -> np.ndarray:
+        return circulant_block(np.pad(self.col, (0, self.fft_size - self.col.size)),
+                               self.shape)
+
+
+class LowerTriangularToeplitz(CirculantSlice):
     """n x n lower-triangular Toeplitz matrix stored by its first column.
 
-    Entry (j, k) equals col[j - k] for j >= k and 0 otherwise.  The product
+    Entry (j, k) equals col[j - k] for j >= k and 0 otherwise: the n x n
+    block of the circulant of col zero-padded to fft_length(n).  The product
     of two such matrices is again lower-triangular Toeplitz, with first
     column the truncated convolution of the factors' columns.
     """
@@ -79,22 +97,8 @@ class LowerTriangularToeplitz(RealConvolution):
             raise ValueError("first column must be a nonempty 1-D array")
         col.setflags(write=False)
         size = fft_length(col.size)
-        super().__init__(size, functools.partial(np.fft.rfft, col, size), col)
-
-    @property
-    def n(self) -> int:
-        return self.col.size
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.n, self.n)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product, as a truncated convolution."""
-        return self._convolve(x)[: self.n]
-
-    def to_dense(self) -> np.ndarray:
-        return circulant_block(np.concatenate((self.col, np.zeros(self.n))), self.shape)
+        super().__init__((col.size, col.size), size,
+                         functools.partial(np.fft.rfft, col, size), col)
 
 
 def counting_matrix(n: int) -> np.ndarray:
@@ -143,8 +147,8 @@ def circulant_block(col: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     col: entry (j, k) = col[(j - k) mod col.size].
 
     A lower-triangular Toeplitz matrix is the n x n block of the circulant
-    of its column padded with n zeros.  A block whose smaller side exceeds
-    DENSE_BUDGET is refused before anything is allocated.
+    of its column padded with at least n - 1 zeros.  A block whose smaller
+    side exceeds DENSE_BUDGET is refused before it is allocated.
     """
     rows, cols = shape
     if min(rows, cols) > DENSE_BUDGET:

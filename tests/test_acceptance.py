@@ -39,7 +39,6 @@ from countfact import (
     residual_offset,
     verify_reconstruction,
 )
-from countfact.factorizations import to_dense
 
 SWEEP_POWERS = range(2, 14)  # n = 2**2 .. 2**13
 
@@ -187,7 +186,7 @@ def test_criterion_09_nsr_sandwiches():
     for n in (16, 64, 256, 512):
         table = coefficient_table(n)
         d = np.sqrt(table.d_sq)
-        dense = to_dense(nsr_factorization(n).left)
+        dense = nsr_factorization(n).left.to_dense()
         entry_violation = 0.0
         for j in range(n):
             floor = d[j] * table.r[: j + 1][::-1]

@@ -222,6 +222,30 @@ class TestSweep:
         assert err == f"error: {message}\n"
         assert not path.exists()
 
+    @pytest.mark.parametrize("flag, names, kept", [
+        ("--methods", "sqrt,sqrt", ["sqrt"]),
+        ("--methods", "nsr, sqrt,nsr", ["nsr", "sqrt"]),
+        ("--metrics", "maxse,maxse", ["maxse"]),
+        ("--metrics", "meanse,maxse,meanse", ["meanse", "maxse"]),
+    ])
+    def test_repeated_names_count_once(self, capsys, tmp_path, monkeypatch,
+                                       flag, names, kept):
+        # A repeated method would write and compute every point twice.
+        calls = []
+        original = cli.sweep_rows
+
+        def recorded(methods, metrics, sizes):
+            calls.append(methods if flag == "--methods" else metrics)
+            return original(methods, metrics, sizes)
+
+        monkeypatch.setattr(cli, "sweep_rows", recorded)
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", flag, names, "--n-min", "2", "--n-max", "4",
+                             "--out", str(path))
+        assert (code, calls) == (0, [kept])
+        rows = path.read_text().splitlines()[1:]
+        assert len(rows) == len(set(rows))
+
     @pytest.mark.parametrize("selection", [
         ("--methods", "lower-bound", "--metrics", "maxse"),
         ("--methods", "sqrt", "--n-min", "3", "--n-max", "3"),  # no power of two
@@ -611,10 +635,24 @@ class TestSimulate:
         assert code == 0
         assert "empirical_err_inf" in out
 
-    def test_input_length_mismatch_exits_2(self, capsys, tmp_path):
+    @staticmethod
+    def run_with_input(capsys, monkeypatch, path):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulate factorized before reading its input")
+
+        monkeypatch.setattr(fz, "factorize", must_not_run)
+        return run_cli(capsys, "simulate", "--method", "sqrt", "--n", "4",
+                       "--trials", "10", "--seed", "1", "--input", str(path))
+
+    def test_input_length_mismatch_exits_2(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "x.csv"
         path.write_text("1.0\n2.0\n")
-        code, _, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "4",
-                               "--trials", "10", "--seed", "1", "--input", str(path))
-        assert code == 2
-        assert "length" in err
+        code, out, err = self.run_with_input(capsys, monkeypatch, path)
+        assert (code, out) == (2, "")
+        assert err == "error: input length 2 != n = 4\n"
+
+    def test_missing_input_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "missing.csv"
+        code, out, err = self.run_with_input(capsys, monkeypatch, path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ")

@@ -31,7 +31,6 @@ from countfact.factorizations import (
     _nsr_delta_q,
     group_algebra_factorization,
     sqrt_factorization,
-    to_dense,
 )
 from countfact.metrics import error_report, maxse
 from countfact.sequences import _odd_cosecant_sum
@@ -139,7 +138,7 @@ class TestSqrtFactorization:
     def test_small_sizes(self):
         f = sqrt_factorization(1)
         assert f.inner_dim == 1
-        assert to_dense(f.left).tolist() == [[1.0]]
+        assert f.left.to_dense().tolist() == [[1.0]]
         f2 = sqrt_factorization(2)
         assert f2.left.col.tolist() == [1.0, 0.5]
         assert f2.col_norms_sq_right[0] == 1.25
@@ -151,7 +150,7 @@ class TestSqrtFactorization:
 
     def test_norm_profiles_match_dense(self):
         f = sqrt_factorization(64)
-        dense = to_dense(f.left)
+        dense = f.left.to_dense()
         assert_allclose(f.row_norms_sq_left, (dense * dense).sum(axis=1), rtol=1e-12)
         assert_allclose(f.col_norms_sq_right, (dense * dense).sum(axis=0), rtol=1e-12)
         assert_allclose(f.frobenius_sq_left, (dense * dense).sum(), rtol=1e-12)
@@ -161,32 +160,32 @@ class TestNsrFactorization:
     def test_worked_example_n2(self):
         f = nsr_factorization(2)
         s5 = math.sqrt(5.0)
-        assert_allclose(to_dense(f.right), [[2 / s5, 0.0], [1 / s5, 1.0]], atol=1e-15)
-        assert_allclose(to_dense(f.left), [[s5 / 2, 0.0], [(s5 - 1) / 2, 1.0]], atol=1e-15)
+        assert_allclose(f.right.to_dense(), [[2 / s5, 0.0], [1 / s5, 1.0]], atol=1e-15)
+        assert_allclose(f.left.to_dense(), [[s5 / 2, 0.0], [(s5 - 1) / 2, 1.0]], atol=1e-15)
 
     def test_trivial_n1(self):
         f = nsr_factorization(1)
-        assert to_dense(f.left).tolist() == [[1.0]]
-        assert to_dense(f.right).tolist() == [[1.0]]
+        assert f.left.to_dense().tolist() == [[1.0]]
+        assert f.right.to_dense().tolist() == [[1.0]]
 
     @pytest.mark.parametrize("n", [3, 16, 64])
     def test_left_matches_inverse_oracle(self, n):
-        assert np.abs(to_dense(nsr_factorization(n).left) - nsr_left_oracle(n)).max() <= 1e-11
+        assert np.abs(nsr_factorization(n).left.to_dense() - nsr_left_oracle(n)).max() <= 1e-11
 
     @pytest.mark.parametrize("n", [8, 32])
     def test_left_matches_rearranged_form(self, n):
-        assert np.abs(to_dense(nsr_factorization(n).left) - nsr_left_rearranged(n)).max() <= 1e-12
+        assert np.abs(nsr_factorization(n).left.to_dense() - nsr_left_rearranged(n)).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [16, 128, 512])
     def test_streamed_row_norms_match_dense(self, n):
-        dense = to_dense(nsr_factorization(n).left)
+        dense = nsr_factorization(n).left.to_dense()
         recomputed = (dense * dense).sum(axis=1)
         assert_allclose(nsr_row_norms_sq(n), recomputed, rtol=1e-12)
 
     def test_unit_right_columns(self):
         f = nsr_factorization(128)
         assert np.all(f.col_norms_sq_right == 1.0)
-        dense = to_dense(f.right)
+        dense = f.right.to_dense()
         assert np.abs((dense * dense).sum(axis=0) - 1.0).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [16, 64])
@@ -194,7 +193,7 @@ class TestNsrFactorization:
         # Every entry dominates d_j * r_{j-k}; the diagonal attains it.
         table = coefficient_table(n)
         d = np.sqrt(table.d_sq)
-        dense = to_dense(nsr_factorization(n).left)
+        dense = nsr_factorization(n).left.to_dense()
         for j in range(n):
             floor = d[j] * table.r[: j + 1][::-1]
             assert np.all(dense[j, : j + 1] >= floor - 1e-12)
@@ -315,8 +314,8 @@ class TestGroupAlgebraFactorization:
         left_direct, right_direct = group_algebra_direct(n)
         assert np.abs(left_direct.imag).max() <= 1e-12
         assert np.abs(right_direct.imag).max() <= 1e-12
-        assert np.abs(to_dense(f.left) - left_direct.real).max() <= 1e-10
-        assert np.abs(to_dense(f.right) - right_direct.real).max() <= 1e-10
+        assert np.abs(f.left.to_dense() - left_direct.real).max() <= 1e-10
+        assert np.abs(f.right.to_dense() - right_direct.real).max() <= 1e-10
 
     def test_shapes_and_inner_dim(self):
         f = group_algebra_factorization(8)
@@ -327,8 +326,8 @@ class TestGroupAlgebraFactorization:
     @pytest.mark.parametrize("n", [2, 16, 128])
     def test_row_and_column_norms_are_equal(self, n):
         f = group_algebra_factorization(n)
-        left = to_dense(f.left)
-        right = to_dense(f.right)
+        left = f.left.to_dense()
+        right = f.right.to_dense()
         left_rows = (left * left).sum(axis=1)
         right_cols = (right * right).sum(axis=0)
         assert np.ptp(left_rows) <= 1e-10 * left_rows.max()
@@ -341,8 +340,8 @@ class TestGroupAlgebraFactorization:
         rng = np.random.default_rng(5)
         y = rng.standard_normal(16)
         x = rng.standard_normal(8)
-        assert_allclose(f.left.apply(y), to_dense(f.left) @ y, atol=1e-12)
-        assert_allclose(f.right.apply(x), to_dense(f.right) @ x, atol=1e-12)
+        assert_allclose(f.left.apply(y), f.left.to_dense() @ y, atol=1e-12)
+        assert_allclose(f.right.apply(x), f.right.to_dense() @ x, atol=1e-12)
 
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_apply_matches_complex_spectrum_path(self, n):
@@ -386,42 +385,41 @@ class TestOperatorSpectrum:
             assert op._spectrum is not None
 
     def test_group_algebra_apply_never_builds_the_column(self):
-        # The shared kernel computes its half spectrum on the first apply;
-        # only a dense view builds the column, once for both slices, and
-        # the generating-function definition is its oracle.
+        # Each slice computes its half spectrum on its first apply; only a
+        # dense view builds the column, and the generating-function
+        # definition is its oracle.
         n = 4
         f = group_algebra_factorization(n)
-        kernel = f.left.kernel
-        assert f.right.kernel is kernel
-        assert kernel._spectrum is None and kernel._col is None
         rng = np.random.default_rng(0)
         for op in (f.left, f.right):
+            assert op._spectrum is None and op._col is None
             op.apply(rng.standard_normal(op.shape[1]))
-        assert kernel._spectrum.shape == (n + 1,) and kernel._col is None
-        dense = f.left.to_dense()
-        col = kernel._col
-        assert col is not None and f.right.col is col
-        left_direct, _ = group_algebra_direct(n)
-        assert np.abs(dense - left_direct.real).max() <= 1e-14
+            assert op._spectrum.shape == (n + 1,) and op._col is None
+        for op, direct in zip((f.left, f.right), group_algebra_direct(n)):
+            dense = op.to_dense()
+            assert op._col is not None
+            assert np.abs(dense - direct.real).max() <= 1e-14
 
     @pytest.mark.parametrize("first", ["left", "right"])
-    def test_group_algebra_slices_share_the_half_spectrum(self, first):
-        # Whichever slice is applied first computes the spectrum once for
-        # both, and both products match the dense definition.
+    def test_group_algebra_slices_compute_their_own_spectrum(self, first):
+        # Whichever slice is applied first, the other's spectrum is still
+        # unbuilt; each slice keeps the read-only spectrum of its first
+        # apply, and both products match the dense definition.
         n = 4
         f = group_algebra_factorization(n)
         direct = dict(zip(("left", "right"), group_algebra_direct(n)))
         ops = {"left": f.left, "right": f.right}
         order = (first, "right" if first == "left" else "left")
         rng = np.random.default_rng(1)
-        spectrum = None
         for side in order:
             op = ops[side]
+            assert op._spectrum is None
             x = rng.standard_normal(op.shape[1])
             got = op.apply(x)
-            spectrum = spectrum if spectrum is not None else op.kernel._spectrum
-            assert op.kernel._spectrum is spectrum and not spectrum.flags.writeable
+            spectrum = op._spectrum
+            assert not spectrum.flags.writeable
             assert np.abs(got - direct[side].real @ x).max() <= 1e-13
+            assert np.array_equal(op.apply(x), got) and op._spectrum is spectrum
 
 
 class TestGroupAlgebraSpectralNorm:
@@ -478,8 +476,8 @@ def test_stored_profiles_match_dense(method, n):
     # The profiles stored on Factorization are the only ones the metrics and
     # the simulator read; the dense factors are their oracle.
     f = factorize(method, n)
-    left = to_dense(f.left)
-    right = to_dense(f.right)
+    left = f.left.to_dense()
+    right = f.right.to_dense()
     assert f.row_norms_sq_left.shape == f.col_norms_sq_right.shape == (n,)
     assert_allclose(f.row_norms_sq_left, np.einsum("jk,jk->j", left, left), rtol=1e-12)
     assert_allclose(f.col_norms_sq_right, np.einsum("jk,jk->k", right, right), rtol=1e-12)
@@ -494,6 +492,16 @@ def test_norm_profiles_are_read_only(method):
         assert not profile.flags.writeable
         with pytest.raises(ValueError):
             profile[0] = 0.0
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_apply_refuses_a_wrong_input_length(method):
+    # rfft would cut a longer input, or pad a shorter one, into a product.
+    f = factorize(method, 8)
+    for op in (f.left, f.right):
+        for size in (op.shape[1] - 1, op.shape[1] + 1):
+            with pytest.raises(ValueError):
+                op.apply(np.ones(size))
 
 
 @pytest.mark.parametrize("method", METHODS)
@@ -553,6 +561,6 @@ def test_dense_reconstruction_property(method, n):
 @example(n=1)
 @example(n=128)
 def test_nsr_right_columns_have_unit_norm_property(n):
-    right = to_dense(nsr_factorization(n).right)
+    right = nsr_factorization(n).right.to_dense()
     norms = np.sqrt(np.einsum("jk,jk->k", right, right))
     assert np.abs(norms - 1.0).max() <= 1e-12

@@ -9,13 +9,14 @@ crashes the traced benchmark run; both show up here first.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
 from perfbench import tracing  # noqa: E402
 
-from countfact import cli, factorizations  # noqa: E402
+from countfact import cli, factorizations, structmat  # noqa: E402
 
 LAYERS = ("factorizations.factorize", "metrics.error_report", "bounds.bound_report",
           "cli.write")
@@ -82,3 +83,13 @@ def test_apply_recorded_per_class(spans, cls):
     assert len(applies) == 3  # one per trial
     assert {span.attrs["n"] for span in applies} == {64}
 
+
+def test_inherited_apply_recorded_under_the_runtime_class():
+    # LowerTriangularToeplitz inherits CirculantSlice.apply, which is the
+    # method traced; the span still names the class of the operator.
+    recorder = tracing.Recorder()
+    op = structmat.LowerTriangularToeplitz([1.0, 0.5, 0.375])
+    with tracing.Instrumentation(recorder):
+        op.apply(np.ones(3))
+    assert [(span.name, span.attrs) for span in recorder.spans] == [
+        ("structmat.apply", {"cls": "LowerTriangularToeplitz", "n": 3})]
