@@ -401,10 +401,11 @@ class TestOperatorSpectrum:
             assert np.abs(dense - direct.real).max() <= 1e-14
 
     @pytest.mark.parametrize("first", ["left", "right"])
-    def test_group_algebra_slices_compute_their_own_spectrum(self, first):
+    def test_group_algebra_slices_share_the_half_spectrum(self, first):
         # Whichever slice is applied first, the other's spectrum is still
         # unbuilt; each slice keeps the read-only spectrum of its first
-        # apply, and both products match the dense definition.
+        # apply, both hold the same half spectrum h of the one circulant,
+        # and both products match the dense definition.
         n = 4
         f = group_algebra_factorization(n)
         direct = dict(zip(("left", "right"), group_algebra_direct(n)))
@@ -420,6 +421,7 @@ class TestOperatorSpectrum:
             assert not spectrum.flags.writeable
             assert np.abs(got - direct[side].real @ x).max() <= 1e-13
             assert np.array_equal(op.apply(x), got) and op._spectrum is spectrum
+        assert np.array_equal(f.left._spectrum, f.right._spectrum)
 
 
 class TestGroupAlgebraSpectralNorm:
