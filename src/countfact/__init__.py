@@ -7,7 +7,7 @@ tests import and the README's Library section uses.  Everything else is
 reached through its submodule (``countfact.bounds.bound_report``, ...).
 """
 
-from .sequences import CONSTANTS, coefficient_table, landau_alpha
+from .sequences import CONSTANTS, coefficient_table
 from .structmat import counting_matrix
 from .factorizations import (
     GROUP_ALGEBRA,
@@ -22,6 +22,7 @@ from .metrics import (
     closed_form_maxse_group_algebra,
     closed_form_maxse_sqrt,
     error_report,
+    landau_alpha,
     maxse,
     meanse,
     residual_offset,

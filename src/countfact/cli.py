@@ -14,6 +14,7 @@ import dataclasses
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -126,14 +127,20 @@ def sweep_rows(methods, metrics, sizes):
 
 
 def _write_csv(path: str, header, rows, append: bool = False) -> None:
-    """Write rows under a header, floats at 17 significant digits.  An
-    appended file gets the header only when it is absent or empty."""
-    write_header = not (append and os.path.exists(path) and os.path.getsize(path))
+    """Write rows under a header (None: no header line), each cell as _fmt
+    writes it; every row has the cell types of the first.  An appended file
+    gets the header only when it is absent or empty."""
+    write_header = header and not (append and os.path.exists(path) and os.path.getsize(path))
+    # One %-format for all rows: twice as fast as cell by cell on a dump row.
+    row_format = None
     with open(path, "a" if append else "w", encoding="utf-8", newline="") as handle:
         if write_header:
             handle.write(",".join(header) + "\n")
         for row in rows:
-            handle.write(",".join(map(_fmt, row)) + "\n")
+            if row_format is None:
+                row_format = ",".join("%.17g" if isinstance(x, float) else "%s"
+                                      for x in row) + "\n"
+            handle.write(row_format % tuple(row))
 
 
 def write_sweep_csv(path: str, rows) -> None:
@@ -227,7 +234,7 @@ def write_sweep_svg(path: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_coeffs(args) -> int:
+def cmd_coeffs(args) -> list[str] | None:
     table = coefficient_table(args.n)
     columns = (table.r, table.rtilde, table.d_sq, table.alpha)
     rows = list(zip(range(args.n), *(c.tolist() for c in columns)))
@@ -237,9 +244,7 @@ def cmd_coeffs(args) -> int:
         print(f"{k:>6} " + " ".join(f"{_fmt(v):>24}" for v in values))
     if args.csv:
         _write_csv(args.csv, ("k", "r", "rtilde", "d_sq", "alpha"), rows)
-    if args.check:
-        return _run_checks("coeffs", _coeff_checks(table))
-    return EXIT_OK
+    return _coeff_checks(table) if args.check else None
 
 
 def _coeff_checks(table) -> list[str]:
@@ -275,7 +280,7 @@ def _dump_paths(prefix: str) -> tuple[str, str]:
     return f"{prefix}_left.csv", f"{prefix}_right.csv"
 
 
-def cmd_factorize(args) -> int:
+def cmd_factorize(args) -> list[str] | None:
     # Both build dense matrices; refused before the factorization is built.
     for flag in ("dump", "check"):
         if getattr(args, flag) and args.n > DENSE_BUDGET:
@@ -294,32 +299,30 @@ def cmd_factorize(args) -> int:
     ])
     if args.dump:
         for path, mat in zip(_dump_paths(args.dump), (f.left, f.right)):
-            np.savetxt(path, mat.to_dense(), fmt="%.17g", delimiter=",")
+            _write_csv(path, None, map(np.ndarray.tolist, mat.to_dense()))
             print(f"wrote {path}")
-    if args.check:
-        failures = []
-        deviation = fz.verify_reconstruction(f)
-        if deviation > 1e-9:
-            failures.append(f"reconstruction deviates by {deviation:.3e}")
-        if args.method == fz.NSR:
-            right = f.right.to_dense()
-            gap = np.abs(np.einsum("jk,jk->k", right, right) - 1.0).max()
-            if gap > 1e-12:
-                failures.append(f"right-factor columns deviate from unit norm by {gap:.3e}")
-        return _run_checks("factorize", failures)
-    return EXIT_OK
+    if not args.check:
+        return None
+    failures = []
+    deviation = fz.verify_reconstruction(f)
+    if deviation > 1e-9:
+        failures.append(f"reconstruction deviates by {deviation:.3e}")
+    if args.method == fz.NSR:
+        right = f.right.to_dense()
+        gap = np.abs(np.einsum("jk,jk->k", right, right) - 1.0).max()
+        if gap > 1e-12:
+            failures.append(f"right-factor columns deviate from unit norm by {gap:.3e}")
+    return failures
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> list[str] | None:
     f = fz.factorize(args.method, args.n)
     report = mt.error_report(args.method, args.n, factorization=f)
     _print_report(report, ("closed_form_maxse", "closed_form_meanse"))
     if args.csv:
         _write_csv(args.csv, SWEEP_HEADER,
                    _report_rows(args.n, args.method, report, mt.METRICS), append=True)
-    if args.check:
-        return _run_checks("metrics", _metric_checks(f, report))
-    return EXIT_OK
+    return _metric_checks(f, report) if args.check else None
 
 
 def _point_checks(maxse: float, meanse: float | None, nuclear: float) -> list[str]:
@@ -350,24 +353,24 @@ def _metric_checks(f, report) -> list[str]:
     return failures
 
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args) -> list[str] | None:
     report = bounds_mod.bound_report(args.n)
     _print_report(report, ("g_n", "g_n_predicted"))
     if args.csv:
         _write_csv(args.csv, SWEEP_HEADER,
                    _report_rows(args.n, LOWER_BOUND_METHOD, report, BOUND_METRICS),
                    append=True)
-    if args.check:
-        failures = []
-        if args.n >= 2 and report.nuclear_lb < report.mathias_lb:
-            failures.append("nuclear bound fell below the weaker bound")
-        if args.n <= 32:
-            singular = np.linalg.svd(counting_matrix(args.n), compute_uv=False)
-            oracle = float(singular.sum()) / args.n
-            if abs(oracle - report.nuclear_lb) > 1e-8:
-                failures.append("cosecant sum disagrees with the SVD oracle")
-        return _run_checks("bounds", failures)
-    return EXIT_OK
+    if not args.check:
+        return None
+    failures = []
+    if args.n >= 2 and report.nuclear_lb < report.mathias_lb:
+        failures.append("nuclear bound fell below the weaker bound")
+    if args.n <= 32:
+        singular = np.linalg.svd(counting_matrix(args.n), compute_uv=False)
+        oracle = float(singular.sum()) / args.n
+        if abs(oracle - report.nuclear_lb) > 1e-8:
+            failures.append("cosecant sum disagrees with the SVD oracle")
+    return failures
 
 
 def _writable(path: str) -> bool:
@@ -392,7 +395,7 @@ def _name_list(text: str, kind: str, known) -> list[str]:
     return names
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> list[str] | None:
     methods = _name_list(args.methods, "method", fz.METHODS + (LOWER_BOUND_METHOD,))
     metrics = _name_list(args.metrics, "metric", mt.METRICS + BOUND_METRICS)
     sizes = sweep_sizes(args.n_min, args.n_max, args.geometric)
@@ -406,9 +409,7 @@ def cmd_sweep(args) -> int:
     if args.svg:
         write_sweep_svg(args.svg, rows)
         print(f"wrote {args.svg}")
-    if args.check:
-        return _run_checks("sweep", _sweep_checks(rows))
-    return EXIT_OK
+    return _sweep_checks(rows) if args.check else None
 
 
 def _sweep_checks(rows) -> list[str]:
@@ -434,7 +435,7 @@ def _sweep_checks(rows) -> list[str]:
     return failures
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list[str] | None:
     check_parameters(args.mu, args.trials, args.seed)
     if args.input == "zeros":
         x = np.zeros(args.n)
@@ -442,11 +443,18 @@ def cmd_simulate(args) -> int:
         x = np.ones(args.n)
     else:
         try:
-            x = np.loadtxt(args.input, delimiter=",", dtype=np.float64).reshape(-1)
+            with warnings.catch_warnings():  # an empty file fails the length check
+                warnings.simplefilter("ignore", UserWarning)
+                x = np.loadtxt(args.input, delimiter=",", dtype=np.float64, ndmin=2)
         except OSError as exc:
             raise UsageError(f"cannot read {args.input}: {exc}") from None
-        if x.shape != (args.n,):
-            raise UsageError(f"input length {x.size} != n = {args.n}")
+        except ValueError as exc:
+            raise UsageError(f"--input {args.input} is not a numeric CSV: {exc}") from None
+        if x.shape[1] != 1:
+            raise UsageError(f"--input {args.input} has {x.shape[1]} columns, not one")
+        if x.shape[0] != args.n:
+            raise UsageError(f"input length {x.shape[0]} != n = {args.n}")
+        x = x[:, 0]
     f = fz.factorize(args.method, args.n)
     cfg = MechanismConfig(factorization=f, mu=args.mu, trials=args.trials,
                           seed=args.seed, input=x)
@@ -465,20 +473,20 @@ def cmd_simulate(args) -> int:
     _print_table(list(zip(SIMULATE_HEADER, values)) + z_summary)
     if args.csv:
         _write_csv(args.csv, SIMULATE_HEADER, [values], append=True)
-    if args.check:
-        failures = []
-        if np.isfinite(result.z_mean).all():
-            mean_bound, var_low, var_high = _z_bands(args.trials, args.n)
-            if np.abs(result.z_mean).max() >= mean_bound:
-                failures.append("standardized deviations have biased mean")
-            if result.z_var.min() <= var_low or result.z_var.max() >= var_high:
-                failures.append("standardized deviations have off-unit variance")
-        rerun = estimate_errors(cfg)
-        if (rerun.empirical_err_inf != result.empirical_err_inf
-                or rerun.empirical_err_2 != result.empirical_err_2):
-            failures.append("rerun with the identical seed was not bit-identical")
-        return _run_checks("simulate", failures)
-    return EXIT_OK
+    if not args.check:
+        return None
+    failures = []
+    if np.isfinite(result.z_mean).all():
+        mean_bound, var_low, var_high = _z_bands(args.trials, args.n)
+        if np.abs(result.z_mean).max() >= mean_bound:
+            failures.append("standardized deviations have biased mean")
+        if result.z_var.min() <= var_low or result.z_var.max() >= var_high:
+            failures.append("standardized deviations have off-unit variance")
+    rerun = estimate_errors(cfg)
+    if (rerun.empirical_err_inf != result.empirical_err_inf
+            or rerun.empirical_err_2 != result.empirical_err_2):
+        failures.append("rerun with the identical seed was not bit-identical")
+    return failures
 
 
 def _z_bands(trials: int, n: int) -> tuple[float, float, float]:
@@ -514,6 +522,48 @@ class UsageError(ValueError):
     does for every ValueError."""
 
 
+# Flags shared by several subcommands, each declared once.
+_N = ("--n", dict(type=int, required=True))
+_METHOD = ("--method", dict(required=True, choices=fz.METHODS))
+_CHECK = ("--check", dict(action="store_true", help="verify invariants; exit 1 on violation"))
+_CSV = ("--csv", dict(metavar="PATH", help="append result rows to a CSV file"))
+_METHODS, _METRICS = ",".join(fz.METHODS), ",".join(mt.METRICS + BOUND_METRICS)
+
+# name -> (handler, help, flags in --help order).  A handler returns its
+# --check failures, or None when --check is not given.
+COMMANDS = {
+    "coeffs": (cmd_coeffs, "print the coefficient table at size n", (
+        _N, _CHECK,
+        ("--csv", dict(metavar="PATH", help="write the table to a CSV file, replacing it")))),
+    "factorize": (cmd_factorize, "construct one factorization", (
+        _METHOD, _N,
+        ("--dump", dict(metavar="PREFIX", help="write PREFIX_left.csv / PREFIX_right.csv "
+                                               "(17 significant digits)")),
+        _CHECK)),
+    "metrics": (cmd_metrics, "error norms for one (method, n)", (_METHOD, _N, _CHECK, _CSV)),
+    "bounds": (cmd_bounds, "lower bounds at size n", (_N, _CHECK, _CSV)),
+    "sweep": (cmd_sweep, "residual sweep over a grid of sizes", (
+        ("--methods", dict(default=_METHODS, help=f"comma-separated subset of: {_METHODS}")),
+        ("--metrics", dict(default=_METRICS, help=f"comma-separated subset of: {_METRICS}")),
+        ("--n-min", dict(type=int, default=4)),
+        ("--n-max", dict(type=int, default=8192)),
+        ("--geometric", dict(action=argparse.BooleanOptionalAction, default=True,
+                             help="powers of two (default) vs every integer size")),
+        ("--out", dict(required=True, metavar="CSV", help="output CSV path")),
+        ("--svg", dict(metavar="SVG", help="optional SVG line chart")),
+        ("--check", dict(action="store_true", help="verify ordering invariants at every "
+                                                   "point; exit 1 on violation")))),
+    "simulate": (cmd_simulate, "seeded Monte-Carlo of the Gaussian mechanism", (
+        _METHOD, _N,
+        ("--mu", dict(type=float, default=1.0, help="GDP level (inf allowed)")),
+        ("--trials", dict(type=int, default=1000)),
+        ("--seed", dict(type=int, default=0)),
+        ("--input", dict(default="zeros",
+                         help="zeros | ones | path to a one-column CSV of length n")),
+        _CHECK, _CSV)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="countfact",
@@ -522,70 +572,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulator.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, csv_flag=True):
-        p.add_argument("--check", action="store_true",
-                       help="verify invariants; exit 1 on violation")
-        if csv_flag:
-            p.add_argument("--csv", metavar="PATH",
-                           help="append result rows to a CSV file")
-
-    p = sub.add_parser("coeffs", help="print the coefficient table at size n")
-    p.add_argument("--n", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_coeffs)
-
-    p = sub.add_parser("factorize", help="construct one factorization")
-    p.add_argument("--method", required=True, choices=fz.METHODS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dump", metavar="PREFIX",
-                   help="write PREFIX_left.csv / PREFIX_right.csv (17 significant digits)")
-    add_common(p, csv_flag=False)
-    p.set_defaults(func=cmd_factorize)
-
-    p = sub.add_parser("metrics", help="error norms for one (method, n)")
-    p.add_argument("--method", required=True, choices=fz.METHODS)
-    p.add_argument("--n", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser("bounds", help="lower bounds at size n")
-    p.add_argument("--n", type=int, required=True)
-    add_common(p)
-    p.set_defaults(func=cmd_bounds)
-
-    p = sub.add_parser("sweep", help="residual sweep over a grid of sizes")
-    p.add_argument("--methods", default="sqrt,nsr,group-algebra",
-                   help="comma-separated subset of: sqrt,nsr,group-algebra")
-    p.add_argument("--metrics", default="maxse,meanse,nuclear_lb,mathias_lb",
-                   help="comma-separated subset of: maxse,meanse,nuclear_lb,mathias_lb")
-    p.add_argument("--n-min", type=int, default=4)
-    p.add_argument("--n-max", type=int, default=8192)
-    p.add_argument("--geometric", action=argparse.BooleanOptionalAction, default=True,
-                   help="powers of two (default) vs every integer size")
-    p.add_argument("--out", required=True, metavar="CSV", help="output CSV path")
-    p.add_argument("--svg", metavar="SVG", help="optional SVG line chart")
-    p.add_argument("--check", action="store_true",
-                   help="verify ordering invariants at every point; exit 1 on violation")
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("simulate", help="seeded Monte-Carlo of the Gaussian mechanism")
-    p.add_argument("--method", required=True, choices=fz.METHODS)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--mu", type=float, default=1.0, help="GDP level (inf allowed)")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--input", default="zeros",
-                   help="zeros | ones | path to a one-column CSV of length n")
-    add_common(p)
-    p.set_defaults(func=cmd_simulate)
-
+    for name, (_handler, help_text, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, options in flags:
+            command.add_argument(flag, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     paths = [getattr(args, flag, None) for flag in ("csv", "out", "svg")]
     dump = getattr(args, "dump", None)
     paths += _dump_paths(dump) if dump else [dump]
@@ -597,7 +592,8 @@ def main(argv=None) -> int:
         for path in paths:
             if path is not None and not _writable(path):
                 raise UsageError(f"cannot write {path or repr(path)}")
-        return args.func(args)
+        failures = COMMANDS[args.command][0](args)
+        return EXIT_OK if failures is None else _run_checks(args.command, failures)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

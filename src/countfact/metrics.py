@@ -43,6 +43,15 @@ def closed_form_maxse_sqrt(n: int) -> float:
     return math.fsum(table.r * table.r)
 
 
+def landau_alpha(n: int) -> float:
+    """Partial-sum residual alpha_n = sum_{j=0}^{n-1} r_j^2 - log(n)/pi.
+
+    Monotonically increasing in n with limit (EULER_GAMMA + log 16) / pi;
+    the gap to the limit is positive and at most 1/(5n).
+    """
+    return closed_form_maxse_sqrt(n) - residual_offset(n)
+
+
 def closed_form_maxse_group_algebra(n: int) -> float:
     """MaxSE of the group-algebra factorization:
 

@@ -147,17 +147,6 @@ def wallis_coeffs(n: int) -> np.ndarray:
     return np.multiply.accumulate(r, out=r)
 
 
-def landau_alpha(n: int) -> float:
-    """Partial-sum residual alpha_n = sum_{j=0}^{n-1} r_j^2 - log(n)/pi.
-
-    Monotonically increasing in n with limit (EULER_GAMMA + log 16) / pi;
-    the gap to the limit is positive and at most 1/(5n).
-    """
-    n = check_size(n)
-    r = wallis_coeffs(n)
-    return math.fsum(r * r) - math.log(n) / math.pi
-
-
 @dataclass(frozen=True)
 class CoefficientTable:
     """Read-only bundle of all scalar sequences at one matrix size.

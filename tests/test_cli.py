@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line interface (invoked in-process)."""
 
+import argparse
 import dataclasses
 import hashlib
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +43,15 @@ class TestCoeffs:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "k,r,rtilde,d_sq,alpha"
         assert len(lines) == 5
+
+    def test_csv_replaces_the_file(self, capsys, tmp_path):
+        # The table has no n column, so appended tables could not be told apart.
+        path, fresh = tmp_path / "coeffs.csv", tmp_path / "fresh.csv"
+        for n in ("2", "3"):
+            assert run_cli(capsys, "coeffs", "--n", n, "--csv", str(path))[0] == 0
+        assert run_cli(capsys, "coeffs", "--n", "3", "--csv", str(fresh))[0] == 0
+        assert path.read_bytes() == fresh.read_bytes()
+        assert path.read_text().count("k,r,rtilde,d_sq,alpha\n") == 1
 
 
 class TestFactorize:
@@ -656,3 +668,46 @@ class TestSimulate:
         code, out, err = self.run_with_input(capsys, monkeypatch, path)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: cannot read {path}: ")
+
+    def test_non_numeric_input_exits_2(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2\n")
+        code, out, err = self.run_with_input(capsys, monkeypatch, path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: --input {path} is not a numeric CSV: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, columns", [("1,2\n3,4\n", 2), ("1,2,3,4\n", 4)],
+                             ids=["two-by-two", "one-row"])
+    def test_multi_column_input_exits_2(self, capsys, tmp_path, monkeypatch, text, columns):
+        path = tmp_path / "x.csv"
+        path.write_text(text)
+        code, out, err = self.run_with_input(capsys, monkeypatch, path)
+        assert (code, out) == (2, "")
+        assert err == f"error: --input {path} has {columns} columns, not one\n"
+
+    @pytest.mark.filterwarnings("error")  # numpy warns on an empty file
+    def test_empty_input_exits_2_with_the_length_message_only(self, capsys, tmp_path,
+                                                               monkeypatch):
+        path = tmp_path / "x.csv"
+        path.write_text("")
+        code, out, err = self.run_with_input(capsys, monkeypatch, path)
+        assert (code, out) == (2, "")
+        assert err == "error: input length 0 != n = 4\n"
+
+
+class TestReadmeSynopsis:
+    def test_options_match_the_parser(self):
+        """README's CLI block lists exactly the options of each subcommand."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+        documented = {}
+        for line in block.strip().splitlines():
+            if line.startswith("countfact "):
+                command = line.split()[1]
+            documented.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+        subparsers = next(action for action in cli.build_parser()._actions
+                          if isinstance(action, argparse._SubParsersAction))
+        parsed = {name: {flag for action in parser._actions for flag in action.option_strings}
+                  - {"-h", "--help"} for name, parser in subparsers.choices.items()}
+        assert documented == parsed

@@ -103,6 +103,13 @@ class TestLandauAlpha:
         expected = 1.25 - math.log(2.0) / math.pi
         assert abs(landau_alpha(2) - expected) <= 1e-14
 
+    @pytest.mark.parametrize("n, value", [(1, 1.0), (2, 1.0293643998473483),
+                                          (50, 1.0646876790384436),
+                                          (4096, 1.0662564256094678)])
+    def test_pinned_values(self, n, value):
+        # math.fsum(r * r) - math.log(n) / math.pi over wallis_coeffs(n).
+        assert landau_alpha(n) == value
+
     def test_monotone_small(self):
         alpha = coefficient_table(2000).alpha
         assert np.all(np.diff(alpha) > 0)
