@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 from .sequences import CONSTANTS, EULER_GAMMA, _cosecant_sum, _odd_cosecant_sum, check_size
 from .metrics import residual_offset
@@ -53,8 +52,7 @@ def cosecant_average(n: int) -> tuple[float, float]:
 @dataclass(frozen=True)
 class BoundReport:
     """Both lower bounds at one n, their residuals against log(n)/pi, and
-    the constants the residuals converge to.  The cosecant average G(n) and
-    its prediction (None when n < 2) are computed on first read."""
+    the constants the residuals converge to."""
 
     n: int
     nuclear_lb: float
@@ -63,18 +61,6 @@ class BoundReport:
     mathias_residual: float
     predicted_nuclear_residual: float
     predicted_mathias_residual: float
-
-    @cached_property
-    def _cosecant_average(self) -> tuple[float | None, float | None]:
-        return cosecant_average(self.n) if self.n >= 2 else (None, None)
-
-    @property
-    def g_n(self) -> float | None:
-        return self._cosecant_average[0]
-
-    @property
-    def g_n_predicted(self) -> float | None:
-        return self._cosecant_average[1]
 
 
 def bound_report(n: int) -> BoundReport:

@@ -52,13 +52,9 @@ def _print_table(pairs) -> None:
 
 
 def _print_report(report, extras) -> None:
-    """A report's fields, then each extra (computed on first read) that is
-    not None."""
-    pairs = [(field.name, getattr(report, field.name))
-             for field in dataclasses.fields(report)]
-    pairs += [(name, getattr(report, name)) for name in extras
-              if getattr(report, name) is not None]
-    _print_table(pairs)
+    """A report's fields, then the (name, value) extras."""
+    _print_table([(field.name, getattr(report, field.name))
+                  for field in dataclasses.fields(report)] + list(extras))
 
 
 def _run_checks(label: str, failures: list[str]) -> int:
@@ -318,11 +314,18 @@ def cmd_factorize(args) -> list[str] | None:
 def cmd_metrics(args) -> list[str] | None:
     f = fz.factorize(args.method, args.n)
     report = mt.error_report(args.method, args.n, factorization=f)
-    _print_report(report, ("closed_form_maxse", "closed_form_meanse"))
+    closed_form, extras = None, []
+    if args.method == fz.SQRT:
+        closed_form = mt.closed_form_maxse_sqrt(args.n)
+        extras = [("closed_form_maxse", closed_form)]
+    elif args.method == fz.GROUP_ALGEBRA:  # its MeanSE is its MaxSE
+        closed_form = mt.closed_form_maxse_group_algebra(args.n)
+        extras = [("closed_form_maxse", closed_form), ("closed_form_meanse", closed_form)]
+    _print_report(report, extras)
     if args.csv:
         _write_csv(args.csv, SWEEP_HEADER,
                    _report_rows(args.n, args.method, report, mt.METRICS), append=True)
-    return _metric_checks(f, report) if args.check else None
+    return _metric_checks(f, report, closed_form) if args.check else None
 
 
 def _point_checks(maxse: float, meanse: float | None, nuclear: float) -> list[str]:
@@ -335,14 +338,14 @@ def _point_checks(maxse: float, meanse: float | None, nuclear: float) -> list[st
     return failures
 
 
-def _metric_checks(f, report) -> list[str]:
+def _metric_checks(f, report, closed_form) -> list[str]:
     failures = _point_checks(report.maxse, report.meanse,
                              bounds_mod.nuclear_lower_bound(f.n))
     # The group-algebra norm is stored as its closed form, so its oracle is
     # the squared norm of the operator's column: one irfft of the half
     # spectrum.
     if f.method == fz.SQRT:
-        oracle, tol = report.closed_form_maxse, 1e-12
+        oracle, tol = closed_form, 1e-12
     elif f.method == fz.GROUP_ALGEBRA:
         oracle, tol = math.fsum(np.square(f.left.col)), 1e-9
     else:
@@ -355,7 +358,9 @@ def _metric_checks(f, report) -> list[str]:
 
 def cmd_bounds(args) -> list[str] | None:
     report = bounds_mod.bound_report(args.n)
-    _print_report(report, ("g_n", "g_n_predicted"))
+    # G(n) is defined from n = 2 on.
+    _print_report(report, zip(("g_n", "g_n_predicted"), bounds_mod.cosecant_average(args.n))
+                  if args.n >= 2 else ())
     if args.csv:
         _write_csv(args.csv, SWEEP_HEADER,
                    _report_rows(args.n, LOWER_BOUND_METHOD, report, BOUND_METRICS),
@@ -396,12 +401,11 @@ def _name_list(text: str, kind: str, known) -> list[str]:
 
 
 def cmd_sweep(args) -> list[str] | None:
-    methods = _name_list(args.methods, "method", fz.METHODS + (LOWER_BOUND_METHOD,))
+    methods = _name_list(args.methods, "method", fz.METHODS)
     metrics = _name_list(args.metrics, "metric", mt.METRICS + BOUND_METRICS)
     sizes = sweep_sizes(args.n_min, args.n_max, args.geometric)
 
-    factor_methods = [m for m in methods if m in fz.METHODS]
-    rows = sweep_rows(factor_methods, metrics, sizes)
+    rows = sweep_rows(methods, metrics, sizes)
     if not rows:
         raise UsageError("the selected methods, metrics and sizes yield no rows")
     write_sweep_csv(args.out, rows)
@@ -592,6 +596,9 @@ def main(argv=None) -> int:
         for path in paths:
             if path is not None and not _writable(path):
                 raise UsageError(f"cannot write {path or repr(path)}")
+        outputs = [path for path in paths if path]
+        if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+            raise UsageError(f"two outputs name one file: {' and '.join(outputs)}")
         failures = COMMANDS[args.command][0](args)
         return EXIT_OK if failures is None else _run_checks(args.command, failures)
     except ValueError as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _odd_cosecant_sum, check_size, coefficient_table
+from .sequences import _group_algebra_norm_sq, check_size, coefficient_table
 from .structmat import (
     CirculantSlice,
     LowerTriangularToeplitz,
@@ -222,7 +222,7 @@ def group_algebra_factorization(n: int) -> Factorization:
     when a factor is first applied or made dense, so the norms never build
     it.
     """
-    full = 0.5 + _odd_cosecant_sum(n) / (2 * n)
+    full = _group_algebra_norm_sq(n)
     norms = np.broadcast_to(full, n)  # read-only, one float for every entry
     spectrum = functools.partial(circulant_half_spectrum, n)
     return Factorization(

@@ -6,12 +6,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .factorizations import GROUP_ALGEBRA, NSR, SQRT, Factorization, factorize
-from .sequences import CONSTANTS, _odd_cosecant_sum, check_size, coefficient_table
+from .sequences import CONSTANTS, _group_algebra_norm_sq, check_size, coefficient_table
 
 MAXSE = "maxse"
 MEANSE = "meanse"
@@ -59,8 +58,7 @@ def closed_form_maxse_group_algebra(n: int) -> float:
 
     Its MeanSE coincides because all rows of the left factor share one norm.
     """
-    n = check_size(n)
-    return 0.5 + _odd_cosecant_sum(n) / (2 * n)
+    return _group_algebra_norm_sq(check_size(n))
 
 
 _PREDICTED = {
@@ -84,7 +82,7 @@ def predicted_residual(method: str, metric: str) -> float:
 @dataclass(frozen=True)
 class ErrorReport:
     """MaxSE/MeanSE of one (method, n), residuals, and the constants the
-    residuals converge to.  The closed forms are computed on first read."""
+    residuals converge to."""
 
     method: str
     n: int
@@ -94,18 +92,6 @@ class ErrorReport:
     meanse_residual: float
     predicted_maxse_residual: float
     predicted_meanse_residual: float
-
-    @cached_property
-    def closed_form_maxse(self) -> float | None:
-        if self.method == SQRT:
-            return closed_form_maxse_sqrt(self.n)
-        if self.method == GROUP_ALGEBRA:
-            return closed_form_maxse_group_algebra(self.n)
-        return None
-
-    @property
-    def closed_form_meanse(self) -> float | None:
-        return self.closed_form_maxse if self.method == GROUP_ALGEBRA else None
 
 
 def error_report(

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,11 +48,11 @@ def _blocks(values):
     return (values[i:i + _SUM_BLOCK] for i in range(0, len(values), _SUM_BLOCK))
 
 
-def _compensated_sum(values, out=None) -> float:
-    """Sum of an array, or of an iterator over its consecutive blocks of at
-    most _SUM_BLOCK values, in twice the working precision: cascaded
-    summation (Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM J.
-    Sci. Comput. 26(6), 2005, Algorithm Sum2).
+def _compensated_sum(blocks, out=None) -> float:
+    """Sum of the values in an iterable of consecutive blocks, each at most
+    _SUM_BLOCK long, in twice the working precision: cascaded summation
+    (Ogita, Rump & Oishi, "Accurate sum and dot product", SIAM J. Sci.
+    Comput. 26(6), 2005, Algorithm Sum2).
 
     Each running sum p_i is corrected by the running sum of the exact
     rounding errors, e_i = (p_{i-1} - (p_i - z_i)) + (x_i - z_i) with
@@ -69,12 +68,10 @@ def _compensated_sum(values, out=None) -> float:
     three working arrays one block long.  The corrected running sums go to
     ``out`` when given (any view, a reversed one too).
     """
-    if not isinstance(values, Iterator):
-        values = _blocks(np.asarray(values, dtype=np.float64))
     p, e, z = np.empty(_SUM_BLOCK + 1), np.empty(_SUM_BLOCK + 1), np.empty(_SUM_BLOCK)
     total = error = 0.0
     start = 0
-    for x in values:
+    for x in blocks:
         m = x.size
         pb, eb, zb = p[:m + 1], e[:m + 1], z[:m]
         pb[0], eb[0] = total, error
@@ -91,13 +88,6 @@ def _compensated_sum(values, out=None) -> float:
             np.add(pb[1:], eb[1:], out=out[start:start + m])
         start += m
     return float(total + error)
-
-
-def _compensated_cumsum(values, out=None) -> np.ndarray:
-    """The corrected running sums of _compensated_sum(values), in ``out``."""
-    out = np.empty(len(values)) if out is None else out
-    _compensated_sum(values, out)
-    return out
 
 
 def _cosecant_sum(numerators: range, denominator: int) -> float:
@@ -128,6 +118,12 @@ def _odd_cosecant_sum(n: int) -> float:
     sum once.
     """
     return _cosecant_sum(range(1, 2 * n, 2), 2 * n)
+
+
+def _group_algebra_norm_sq(n: int) -> float:
+    """1/2 + _odd_cosecant_sum(n) / 2n: the squared norm of every row of the
+    group-algebra left factor, for an n already checked."""
+    return 0.5 + _odd_cosecant_sum(n) / (2 * n)
 
 
 def wallis_coeffs(n: int) -> np.ndarray:
@@ -207,7 +203,7 @@ def coefficient_table(n: int) -> CoefficientTable:
     """
     r = wallis_coeffs(n)
     d_sq = np.empty(n)
-    _compensated_cumsum((block * block for block in _blocks(r)), d_sq[::-1])
+    _compensated_sum((block * block for block in _blocks(r)), out=d_sq[::-1])
     for arr in (r, d_sq):
         arr.setflags(write=False)
     return CoefficientTable(n=n, r=r, d_sq=d_sq)

@@ -1,6 +1,7 @@
 """Tests for the lower bounds; the SVD of the dense counting matrix is the
 independent oracle for the cosecant form of the nuclear norm."""
 
+import functools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from countfact import (
 )
 from countfact import bounds, sequences
 from countfact.bounds import bound_report, cosecant_average
+from countfact.cli import main
 from countfact.factorizations import METHODS
 from countfact.sequences import _cosecant_sum
 
@@ -111,37 +113,56 @@ class TestCosecantAverage:
         assert abs(odd - even) < 2e-2
 
 
+@pytest.fixture
+def cosecant_average_calls(monkeypatch):
+    """The sizes bounds.cosecant_average is called at, in call order."""
+    calls = []
+    original = bounds.cosecant_average
+
+    def counted(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(bounds, "cosecant_average", counted)
+    return calls
+
+
 class TestBoundReport:
     def test_fields(self):
         report = bound_report(16)
         assert report.nuclear_lb == nuclear_lower_bound(16)
         assert report.mathias_lb == mathias_lower_bound(16)
         assert report.nuclear_residual == report.nuclear_lb - residual_offset(16)
-        assert report.g_n == cosecant_average(16)[0]
-        assert report.g_n_predicted == cosecant_average(16)[1]
         assert report.nuclear_lb >= report.mathias_lb
         assert report.predicted_nuclear_residual == CONSTANTS.lb_const
         assert report.predicted_mathias_residual == CONSTANTS.mathias_lb_const
+        # A plain record: nothing on it is computed after construction.
+        assert not [name for name, member in vars(type(report)).items()
+                    if isinstance(member, (property, functools.cached_property))]
 
-    def test_n1_has_no_cosecant_average(self):
-        report = bound_report(1)
-        assert report.g_n is None
-        assert report.g_n_predicted is None
-
-    def test_cosecant_average_computed_once_on_first_read(self, monkeypatch):
-        calls = []
-        original = bounds.cosecant_average
-
-        def counted(n):
-            calls.append(n)
-            return original(n)
-
-        monkeypatch.setattr(bounds, "cosecant_average", counted)
-        report = bound_report(64)
+    def test_n1_has_no_cosecant_average(self, capsys, cosecant_average_calls):
+        # G(n) starts at n = 2: bounds --n 1 neither computes nor prints it.
+        calls = cosecant_average_calls
+        for check in ((), ("--check",)):
+            assert main(["bounds", "--n", "1", *check]) == 0
+            assert "g_n" not in capsys.readouterr().out
         assert calls == []
-        assert (report.g_n, report.g_n_predicted) == original(64)
-        assert (report.g_n, report.g_n_predicted) == original(64)
-        assert calls == [64]
+
+    def test_cosecant_average_computed_once_on_first_read(self, capsys,
+                                                           cosecant_average_calls):
+        # bound_report computes no G(n); each bounds run computes it once
+        # and prints both values at 17 digits.
+        calls = cosecant_average_calls
+        bound_report(64)
+        assert calls == []
+        expected = cosecant_average(64)
+        for check in ((), ("--check",)):
+            calls.clear()
+            assert main(["bounds", "--n", "64", *check]) == 0
+            table = dict(line.split() for line in capsys.readouterr().out.splitlines()
+                         if not line.startswith("CHECK"))
+            assert calls == [64]
+            assert (float(table["g_n"]), float(table["g_n_predicted"])) == expected
 
 
 def test_cosecant_sum_equals_fsum_bitwise():

@@ -15,6 +15,7 @@ from countfact import bounds as bounds_mod
 from countfact import cli
 from countfact import factorizations as fz
 from countfact import metrics as mt
+from countfact import sequences
 from countfact.cli import main
 
 
@@ -161,11 +162,11 @@ class TestMetrics:
 
     def test_group_algebra_check_has_an_independent_oracle(self, capsys, monkeypatch):
         # A stored norm and closed form that agree with each other, both off
-        # by 1e-6, fail against the operator's column.
-        original = fz._odd_cosecant_sum
-        for module in (fz, mt):
-            monkeypatch.setattr(module, "_odd_cosecant_sum",
-                                lambda n: original(n) * (1 + 1e-6))
+        # by 1e-6 through the one odd sum they read, fail against the
+        # operator's column.
+        original = sequences._odd_cosecant_sum
+        monkeypatch.setattr(sequences, "_odd_cosecant_sum",
+                            lambda n: original(n) * (1 + 1e-6))
         code, _, err = run_cli(capsys, "metrics", "--method", "group-algebra", "--n", "64",
                                "--check")
         assert code == 1
@@ -258,17 +259,40 @@ class TestSweep:
         rows = path.read_text().splitlines()[1:]
         assert len(rows) == len(set(rows))
 
-    @pytest.mark.parametrize("selection", [
-        ("--methods", "lower-bound", "--metrics", "maxse"),
-        ("--methods", "sqrt", "--n-min", "3", "--n-max", "3"),  # no power of two
-    ])
-    def test_no_rows_exits_2_without_file(self, capsys, tmp_path, selection):
+    def test_no_rows_exits_2_without_file(self, capsys, tmp_path):
         path = tmp_path / "never.csv"
-        code, out, err = run_cli(capsys, "sweep", *selection, "--out", str(path))
+        # No power of two lies in 3..3.
+        code, out, err = run_cli(capsys, "sweep", "--methods", "sqrt", "--n-min", "3",
+                                 "--n-max", "3", "--out", str(path))
         assert code == 2
         assert not path.exists()
         assert "no rows" in err
         assert "wrote" not in out
+
+    @pytest.mark.parametrize("methods", ["lower-bound", "sqrt,lower-bound"])
+    def test_lower_bound_is_not_a_method(self, capsys, tmp_path, methods):
+        # Bound rows follow --metrics; their method column is no choice.
+        path = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "sweep", "--methods", methods,
+                                 "--metrics", "maxse", "--out", str(path))
+        assert (code, out, err) == (2, "", "error: unknown method(s): lower-bound\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("svg", ["sweep.csv", "./link.csv"])
+    def test_out_and_svg_naming_one_file_exit_2(self, capsys, tmp_path, monkeypatch, svg):
+        # The SVG would overwrite the CSV just written; a symbolic link to
+        # it counts as the same file.  Refused before computing.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("sweep computed before checking its output paths")
+
+        monkeypatch.setattr(cli, "sweep_rows", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "sweep.csv")
+        code, out, err = run_cli(capsys, "sweep", "--n-max", "16", "--out", "sweep.csv",
+                                 "--svg", svg)
+        assert (code, out) == (2, "")
+        assert err == f"error: two outputs name one file: sweep.csv and {svg}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv"]
 
     @pytest.mark.parametrize("flag", ["--out", "--svg"])
     def test_unwritable_path_exits_2_before_computing(self, capsys, tmp_path,
@@ -351,6 +375,90 @@ class TestSweep:
         assert sorted(calls) == cli.sweep_sizes(4, 8192, geometric=True)
 
 
+# The whole stdout of metrics and bounds, pinned: the report's fields, then
+# the closed forms (sqrt, group-algebra) or G(n) (from n = 2 on).
+PRINTED = {
+    ("metrics", "--method", "sqrt", "--n", "64"): (
+        "method                     sqrt\n"
+        "n                          64\n"
+        "maxse                      2.3888481082954347\n"
+        "meanse                     2.2296764715813904\n"
+        "maxse_residual             1.0650345073795251\n"
+        "meanse_residual            0.90586287066548077\n"
+        "predicted_maxse_residual   1.0662758532089143\n"
+        "predicted_meanse_residual  0.9071209101170189\n"
+        "closed_form_maxse          2.3888481082954347\n"),
+    ("metrics", "--method", "group-algebra", "--n", "64"): (
+        "method                     group-algebra\n"
+        "n                          64\n"
+        "maxse                      2.3050803403564499\n"
+        "meanse                     2.3050803403564499\n"
+        "maxse_residual             0.98126673944054033\n"
+        "meanse_residual            0.98126673944054033\n"
+        "predicted_maxse_residual   0.98126141338035655\n"
+        "predicted_meanse_residual  0.98126141338035655\n"
+        "closed_form_maxse          2.3050803403564499\n"
+        "closed_form_meanse         2.3050803403564499\n"),
+    ("bounds", "--n", "64"): (
+        "n                           64\n"
+        "nuclear_lb                  2.0401280347005057\n"
+        "mathias_lb                  1.8332847206745193\n"
+        "nuclear_residual            0.71631443378459614\n"
+        "mathias_residual            0.5094711197586097\n"
+        "predicted_nuclear_residual  0.70189701353300815\n"
+        "predicted_mathias_residual  0.4812614133803565\n"
+        "g_n                         2.7275863232920594\n"
+        "g_n_predicted               2.7276076279819259\n"),
+    ("metrics", "--method", "nsr", "--n", "64"): (
+        "method                     nsr\n"
+        "n                          64\n"
+        "maxse                      2.2117689433623644\n"
+        "meanse                     2.1277017443554116\n"
+        "maxse_residual             0.8879553424464548\n"
+        "meanse_residual            0.80388814343950199\n"
+        "predicted_maxse_residual   0.84564025305626267\n"
+        "predicted_meanse_residual  0.74796596702512363\n"),
+    ("metrics", "--method", "sqrt", "--n", "1"): (
+        "method                     sqrt\n"
+        "n                          1\n"
+        "maxse                      1\n"
+        "meanse                     1\n"
+        "maxse_residual             1\n"
+        "meanse_residual            1\n"
+        "predicted_maxse_residual   1.0662758532089143\n"
+        "predicted_meanse_residual  0.9071209101170189\n"
+        "closed_form_maxse          1\n"),
+    ("metrics", "--method", "nsr", "--n", "1"): (
+        "method                     nsr\n"
+        "n                          1\n"
+        "maxse                      1\n"
+        "meanse                     1\n"
+        "maxse_residual             1\n"
+        "meanse_residual            1\n"
+        "predicted_maxse_residual   0.84564025305626267\n"
+        "predicted_meanse_residual  0.74796596702512363\n"),
+    ("metrics", "--method", "group-algebra", "--n", "1"): (
+        "method                     group-algebra\n"
+        "n                          1\n"
+        "maxse                      1\n"
+        "meanse                     1\n"
+        "maxse_residual             1\n"
+        "meanse_residual            1\n"
+        "predicted_maxse_residual   0.98126141338035655\n"
+        "predicted_meanse_residual  0.98126141338035655\n"
+        "closed_form_maxse          1\n"
+        "closed_form_meanse         1\n"),
+    ("bounds", "--n", "1"): (
+        "n                           1\n"
+        "nuclear_lb                  1.0000000000000002\n"
+        "mathias_lb                  1\n"
+        "nuclear_residual            1.0000000000000002\n"
+        "mathias_residual            1\n"
+        "predicted_nuclear_residual  0.70189701353300815\n"
+        "predicted_mathias_residual  0.4812614133803565\n"),
+}
+
+
 class TestSweepComputesOnlyWhatItWrites:
     def test_csv_unchanged_without_closed_forms_or_g_n(self, capsys, tmp_path,
                                                        monkeypatch):
@@ -368,20 +476,11 @@ class TestSweepComputesOnlyWhatItWrites:
         assert run_cli(capsys, "sweep", "--out", str(patched))[0] == 0
         assert patched.read_bytes() == plain.read_bytes()
 
-    @pytest.mark.parametrize("argv, expected", [
-        (("metrics", "--method", "sqrt", "--n", "64"),
-         {"closed_form_maxse": "2.3888481082954347"}),
-        (("metrics", "--method", "group-algebra", "--n", "64"),
-         {"closed_form_maxse": "2.3050803403564499",
-          "closed_form_meanse": "2.3050803403564499"}),
-        (("bounds", "--n", "64"),
-         {"g_n": "2.7275863232920594", "g_n_predicted": "2.7276076279819259"}),
-    ], ids=["sqrt", "group-algebra", "bounds"])
-    def test_metrics_and_bounds_still_print_them(self, capsys, argv, expected):
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 0
-        table = dict(line.split() for line in out.splitlines())
-        assert {name: table.get(name) for name in expected} == expected
+    @pytest.mark.parametrize("argv", PRINTED, ids=[
+        "sqrt", "group-algebra", "bounds", "nsr",
+        "sqrt-n1", "nsr-n1", "group-algebra-n1", "bounds-n1"])
+    def test_metrics_and_bounds_still_print_them(self, capsys, argv):
+        assert run_cli(capsys, *argv) == (0, PRINTED[argv], "")
 
 
 class TestCsvWriter:

@@ -1,5 +1,6 @@
 """Tests for the error norms and their closed forms."""
 
+import functools
 import math
 
 import pytest
@@ -23,6 +24,7 @@ from countfact import (
     residual_offset,
 )
 from countfact import metrics
+from countfact.cli import main
 from countfact.factorizations import sqrt_factorization
 from countfact.metrics import MAXSE, MEANSE, predicted_residual
 
@@ -126,33 +128,45 @@ class TestErrorReport:
         report = error_report(NSR, 16)
         assert report.maxse_residual == report.maxse - residual_offset(16)
         assert report.meanse_residual == report.meanse - residual_offset(16)
-        assert report.closed_form_maxse is None
-        assert report.closed_form_meanse is None
+        # A plain record: nothing on it is computed after construction.
+        assert not [name for name, member in vars(type(report)).items()
+                    if isinstance(member, (property, functools.cached_property))]
 
-    def test_closed_forms_attached(self):
-        sqrt_report = error_report(SQRT, 8)
-        assert sqrt_report.closed_form_maxse == closed_form_maxse_sqrt(8)
-        assert sqrt_report.closed_form_meanse is None
-        ga_report = error_report(GROUP_ALGEBRA, 8)
-        assert ga_report.closed_form_maxse == closed_form_maxse_group_algebra(8)
-        assert ga_report.closed_form_meanse == ga_report.closed_form_maxse
+    def test_closed_forms_attached(self, capsys):
+        # metrics prints the closed forms after the report's fields, at 17
+        # digits; the group-algebra MeanSE is its MaxSE, and nsr has none.
+        expected = {
+            SQRT: {"closed_form_maxse": closed_form_maxse_sqrt(8)},
+            GROUP_ALGEBRA: {"closed_form_maxse": closed_form_maxse_group_algebra(8),
+                            "closed_form_meanse": closed_form_maxse_group_algebra(8)},
+            NSR: {},
+        }
+        for method, closed in expected.items():
+            assert main(["metrics", "--method", method, "--n", "8"]) == 0
+            lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+            printed = [(name, float(value)) for name, value in lines
+                       if name.startswith("closed_form")]
+            assert printed == list(closed.items())
 
     def test_closed_form_computed_once_on_first_read(self, monkeypatch):
+        # error_report computes no closed form; each metrics run computes
+        # its method's once, and --check compares against the printed one.
         calls = []
-        original = metrics.closed_form_maxse_group_algebra
+        for name in ("closed_form_maxse_sqrt", "closed_form_maxse_group_algebra"):
+            def counted(n, name=name, original=getattr(metrics, name)):
+                calls.append(name)
+                return original(n)
 
-        def counted(n):
-            calls.append(n)
-            return original(n)
-
-        monkeypatch.setattr(metrics, "closed_form_maxse_group_algebra", counted)
-        report = error_report(GROUP_ALGEBRA, 64)
+            monkeypatch.setattr(metrics, name, counted)
+        for method in (SQRT, NSR, GROUP_ALGEBRA):
+            error_report(method, 64)
         assert calls == []
-        first = report.closed_form_maxse
-        assert first == original(64)
-        assert report.closed_form_maxse is first
-        assert report.closed_form_meanse is first
-        assert calls == [64]
+        for method, expected in ((SQRT, ["closed_form_maxse_sqrt"]), (NSR, []),
+                                 (GROUP_ALGEBRA, ["closed_form_maxse_group_algebra"])):
+            for check in ((), ("--check",)):
+                calls.clear()
+                assert main(["metrics", "--method", method, "--n", "64", *check]) == 0
+                assert calls == expected, (method, check)
 
     def test_nsr_maxse_approach_is_monotone(self):
         # |residual - limit| shrinks along 2^8..2^14, up to a 1e-3 floor.

@@ -17,7 +17,7 @@ from countfact.cli import sweep_rows
 from countfact.sequences import (
     _SUM_BLOCK,
     EULER_GAMMA,
-    _compensated_cumsum,
+    _blocks,
     _compensated_sum,
     wallis_coeffs,
 )
@@ -141,7 +141,7 @@ class TestCoefficientTable:
         table = coefficient_table(64)
         assert "rtilde" not in vars(table) and "alpha" not in vars(table)
         m = np.arange(1, 65, dtype=np.float64)
-        expected = _compensated_cumsum(table.r * table.r) - np.log(m) / math.pi
+        expected = compensated_cumsum(table.r * table.r) - np.log(m) / math.pi
         assert np.array_equal(table.alpha, expected)
         assert table.alpha is table.alpha and table.rtilde is table.rtilde
         for arr in (table.rtilde, table.alpha):
@@ -173,6 +173,13 @@ class TestCoefficientTable:
         assert_allclose(table.rtilde, [float(v) for v in rtilde], rtol=1e-15)
         assert_allclose(table.d_sq, [float(v) for v in d_sq], rtol=1e-15)
         assert abs(table.alpha[-1] - landau_alpha(50)) < 1e-14
+
+
+def compensated_cumsum(x, out=None):
+    """The corrected running sums of _compensated_sum over the blocks of x."""
+    out = np.empty(len(x)) if out is None else out
+    _compensated_sum(_blocks(x), out)
+    return out
 
 
 def kahan_cumsum(values):
@@ -218,13 +225,13 @@ mixed_floats = st.lists(
 class TestCompensatedCumsum:
     def test_bit_identical_to_kahan_small(self, kahan_wallis_prefix):
         for n in range(1, 601):
-            got = _compensated_cumsum(wallis_coeffs(n) ** 2)
+            got = compensated_cumsum(wallis_coeffs(n) ** 2)
             assert np.array_equal(got, kahan_wallis_prefix[:n]), n
 
     @pytest.mark.parametrize("k", range(1, 21))
     def test_bit_identical_to_kahan_at_powers(self, kahan_wallis_prefix, k):
         for n in (2**k, 2**k + 1):
-            got = _compensated_cumsum(wallis_coeffs(n) ** 2)
+            got = compensated_cumsum(wallis_coeffs(n) ** 2)
             assert np.array_equal(got, kahan_wallis_prefix[:n]), n
 
     @settings(max_examples=300, deadline=None, database=None)
@@ -235,7 +242,7 @@ class TestCompensatedCumsum:
         # Where the second term is below half an ulp of s, that bound puts
         # res within one ulp of the correctly rounded math.fsum.
         x = np.array(values)
-        res = _compensated_cumsum(x)
+        res = compensated_cumsum(x)
         exact = Fraction(0)
         absolute = Fraction(0)
         for i, v in enumerate(values):
@@ -251,7 +258,7 @@ class TestCompensatedCumsum:
         x = np.random.default_rng(5).standard_normal(1500) * np.exp2(
             np.random.default_rng(6).integers(-30, 30, 1500))
         rounded = np.array([math.fsum(x[: i + 1]) for i in range(x.size)])
-        ulps = np.abs(_compensated_cumsum(x) - rounded) / np.spacing(np.abs(rounded))
+        ulps = np.abs(compensated_cumsum(x) - rounded) / np.spacing(np.abs(rounded))
         plain = np.abs(np.cumsum(x) - rounded) / np.spacing(np.abs(rounded))
         assert ulps.max() <= 1.0 < plain.max()
 
@@ -267,7 +274,7 @@ class TestCompensatedCumsum:
         # for mixed signs and magnitudes and across block boundaries.
         rng = np.random.default_rng(n)
         x = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n))
-        assert _compensated_sum(x) == (_compensated_cumsum(x)[-1] if n else 0.0)
+        assert _compensated_sum(_blocks(x)) == (compensated_cumsum(x)[-1] if n else 0.0)
 
     @pytest.mark.parametrize("n", [_SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1,
                                    3 * _SUM_BLOCK + 5, 2**20])
@@ -281,22 +288,22 @@ class TestCompensatedCumsum:
         rng = np.random.default_rng(7)
         x = rng.standard_normal(n) * np.exp2(rng.integers(-30, 30, n))
         out = np.empty(n)
-        assert _compensated_cumsum(x, out=out[::-1]).base is out
-        assert np.array_equal(out, _compensated_cumsum(x)[::-1])
+        assert compensated_cumsum(x, out=out[::-1]).base is out
+        assert np.array_equal(out, compensated_cumsum(x)[::-1])
 
     def test_read_only_and_reversed_views(self):
         x = np.random.default_rng(1).standard_normal(1001)
         original = x.copy()
         x.setflags(write=False)
         for view in (x, x[::-1]):
-            assert np.array_equal(_compensated_cumsum(view), _compensated_cumsum(view.copy()))
+            assert np.array_equal(compensated_cumsum(view), compensated_cumsum(view.copy()))
         assert np.array_equal(x, original)
 
     def test_two_to_the_twenty_is_fast(self):
         # The per-element Python loop takes about 0.42 s at this size on a
         # 2-core VM, the vectorized kernel about 0.03 s.
         x = wallis_coeffs(2**20) ** 2
-        assert min(timeit.repeat(lambda: _compensated_cumsum(x), number=1, repeat=3)) < 0.3
+        assert min(timeit.repeat(lambda: compensated_cumsum(x), number=1, repeat=3)) < 0.3
 
 
 class TestNamedConstants:
