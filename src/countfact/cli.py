@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: coeffs, factorize, metrics, bounds, sweep, simulate.
-Exit codes: 0 success, 1 invariant violation under --check, 2 usage or write error.
+Exit codes: 0 success, 1 invariant violation under --check, 2 usage or write
+error or out of memory.
 All numeric output is emitted at 17 significant digits with a '.' decimal
 separator, which round-trips float64 bitwise.
 """
@@ -388,6 +389,14 @@ def _writable(path: str) -> bool:
     return os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)
 
 
+def _starts_without(path: str, header) -> bool:
+    """Whether path is a non-empty file whose first line is not header."""
+    if not (os.path.isfile(path) and os.path.getsize(path)):
+        return False
+    with open(path, encoding="utf-8", errors="replace") as handle:
+        return handle.readline().rstrip("\n") != ",".join(header)
+
+
 def _name_list(text: str, kind: str, known) -> list[str]:
     """The names in a comma-separated option, each once, in first-seen
     order; refuses an empty list and any name not in known."""
@@ -532,6 +541,9 @@ _METHOD = ("--method", dict(required=True, choices=fz.METHODS))
 _CHECK = ("--check", dict(action="store_true", help="verify invariants; exit 1 on violation"))
 _CSV = ("--csv", dict(metavar="PATH", help="append result rows to a CSV file"))
 _METHODS, _METRICS = ",".join(fz.METHODS), ",".join(mt.METRICS + BOUND_METRICS)
+# The header each --csv that appends writes first: a file must start with it.
+_APPENDED_HEADER = {"metrics": SWEEP_HEADER, "bounds": SWEEP_HEADER,
+                    "simulate": SIMULATE_HEADER}
 
 # name -> (handler, help, flags in --help order).  A handler returns its
 # --check failures, or None when --check is not given.
@@ -597,15 +609,28 @@ def main(argv=None) -> int:
             if path is not None and not _writable(path):
                 raise UsageError(f"cannot write {path or repr(path)}")
         outputs = [path for path in paths if path]
-        if len({os.path.realpath(path) for path in outputs}) < len(outputs):
+        real = {os.path.realpath(path) for path in outputs}
+        if len(real) < len(outputs):
             raise UsageError(f"two outputs name one file: {' and '.join(outputs)}")
+        source = getattr(args, "input", "zeros")
+        if source not in ("zeros", "ones") and os.path.realpath(source) in real:
+            raise UsageError(f"--input {source} is also an output")
+        header = _APPENDED_HEADER.get(args.command)
+        if header and args.csv and _starts_without(args.csv, header):
+            raise UsageError(f"--csv {args.csv} does not start with the "
+                             f"{args.command} header {','.join(header)}")
         failures = COMMANDS[args.command][0](args)
         return EXIT_OK if failures is None else _run_checks(args.command, failures)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
-        # Only simulate's --input is read, and a failed read is a UsageError.
+        # A failed read of simulate's --input is a UsageError, and an
+        # appended --csv is read only once _writable has passed it.
         # A write that fails after open carries no file name: name every output.
         name = exc.filename or " or ".join(path for path in paths if path)
         print(f"error: cannot write {name}: {exc.strerror or exc}", file=sys.stderr)

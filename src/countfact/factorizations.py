@@ -117,28 +117,6 @@ def sqrt_factorization(n: int) -> Factorization:
     )
 
 
-def _nsr_delta_q(table) -> tuple[np.ndarray, np.ndarray]:
-    """delta_i = d_i - d_{i+1} (i < n - 1) and q = tril(C C^T, -1) delta.
-
-    See nsr_row_norms_sq for the derivation; both are >= 0 entrywise.
-    """
-    n = table.n
-    r = table.r
-    d = np.sqrt(table.d_sq)
-    h_diag = table.d_sq[::-1]
-    # d_i^2 - d_{i+1}^2 = r_{n-1-i}^2, divided out without cancellation.
-    delta = r[n - 1:0:-1] ** 2 / (d[:-1] + d[1:])
-    q = np.zeros(n)
-    if n > 1:
-        w = 2.0 * np.arange(1, n) * r[1:] * delta
-        kappa = 1.0 / (2.0 * np.arange(n) - 1.0)
-        kappa[0] = 0.0
-        size = fft_length(n)
-        v = np.fft.irfft(np.fft.rfft(w, size) * np.fft.rfft(kappa, size), size)[1:n]
-        np.cumsum(delta * h_diag[:-1] - r[1:] * v, out=q[1:])
-    return delta, q
-
-
 def nsr_row_norms_sq(n: int) -> np.ndarray:
     """Squared row norms of the NSR left factor L = M D C^{-1}, exactly, in
     O(n log n) time and O(n) memory, never materializing the factor.
@@ -179,12 +157,28 @@ def nsr_row_norms_sq(n: int) -> np.ndarray:
     the profile is within 2e-15 of its maximum up to n = 2**20.
     """
     table = coefficient_table(n)
-    d_sq = table.d_sq
+    r, d_sq = table.r, table.d_sq
     h_diag = d_sq[::-1]
-    delta, q = _nsr_delta_q(table)
+    d = np.sqrt(d_sq)
+    # d_i^2 - d_{i+1}^2 = r_{n-1-i}^2, divided out without cancellation.
+    delta = r[n - 1:0:-1] ** 2 / (d[:-1] + d[1:])
+    # V by one rfft/irfft pair, each array dropped after its last read.  The
+    # product is formed in place with rfft(w) on the left: complex products
+    # do not commute bit for bit.
+    size = fft_length(n)
+    spectrum = np.fft.rfft(2.0 * np.arange(1, n) * r[1:] * delta, size)  # of w
+    kappa = 1.0 / (2.0 * np.arange(n) - 1.0)
+    kappa[0] = 0.0
+    spectrum *= np.fft.rfft(kappa, size)
+    del kappa
+    v = np.fft.irfft(spectrum, size)[1:n]
+    del spectrum
+    q = np.zeros(n)
+    np.cumsum(delta * h_diag[:-1] - r[1:] * v, out=q[1:])
+    del v
     s = np.zeros(n)
     np.cumsum(delta * (2.0 * q[:-1] + delta * h_diag[:-1]), out=s[1:])
-    row_sq = d_sq * h_diag + 2.0 * np.sqrt(d_sq) * q + s
+    row_sq = d_sq * h_diag + 2.0 * d * q + s
     row_sq.setflags(write=False)
     return row_sq
 
@@ -192,16 +186,14 @@ def nsr_row_norms_sq(n: int) -> np.ndarray:
 def nsr_factorization(n: int) -> Factorization:
     """Normalized square root: right factor C D^{-1} has unit columns, left
     factor M D C^{-1} carries all the norm growth."""
+    row_sq = nsr_row_norms_sq(n)  # first: no operator array shares its peak
     table = coefficient_table(n)
     d = np.sqrt(table.d_sq)
-    right = ColumnScaled(table.r, d)
-    row_sq = nsr_row_norms_sq(n)
-    left = NsrLeft(table.rtilde, d)
     return Factorization(
         method=NSR,
         n=n,
-        left=left,
-        right=right,
+        left=NsrLeft(table.rtilde, d),
+        right=ColumnScaled(table.r, d),
         inner_dim=n,
         row_norms_sq_left=row_sq,
         col_norms_sq_right=np.broadcast_to(1.0, n),

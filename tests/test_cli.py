@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -544,6 +545,33 @@ class TestCsvHeader:
         assert lines[0] == ",".join(header)
         assert len(lines) > 1 and all(line != lines[0] for line in lines[1:])
 
+    @pytest.mark.parametrize("first, then, compute", [
+        (("simulate", "--method", "sqrt", "--n", "4", "--trials", "2", "--csv"),
+         ("metrics", "--method", "sqrt", "--n", "4"), "countfact.metrics.error_report"),
+        (("simulate", "--method", "sqrt", "--n", "4", "--trials", "2", "--csv"),
+         ("bounds", "--n", "4"), "countfact.bounds.bound_report"),
+        (("sweep", "--methods", "sqrt", "--metrics", "maxse", "--n-max", "8", "--out"),
+         ("simulate", "--method", "sqrt", "--n", "4", "--trials", "2"),
+         "countfact.cli.estimate_errors"),
+    ], ids=["simulate-then-metrics", "simulate-then-bounds", "sweep-then-simulate"])
+    def test_another_commands_file_exits_2_untouched(self, capsys, tmp_path, monkeypatch,
+                                                     first, then, compute):
+        # Appending would put rows of one schema under the other's header.
+        path = tmp_path / "rows.csv"
+        assert run_cli(capsys, *first, str(path))[0] == 0
+        before = path.read_bytes()
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError(f"{then[0]} computed before checking the --csv header")
+
+        monkeypatch.setattr(compute, must_not_run)
+        header = cli.SIMULATE_HEADER if then[0] == "simulate" else cli.SWEEP_HEADER
+        code, out, err = run_cli(capsys, *then, "--csv", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: --csv {path} does not start with the {then[0]} header "
+                       f"{','.join(header)}\n")
+        assert path.read_bytes() == before
+
 
 class TestCsvPaths:
     @pytest.mark.parametrize("argv, module, compute", [
@@ -628,6 +656,33 @@ class TestWriteFailure:
         assert code == 2
         assert err.startswith("error: cannot write ")
         assert failing in err and "No space left on device" in err
+
+
+class TestOutOfMemory:
+    """A failed allocation exits 2 with one line; exit 1 is kept for --check."""
+
+    @pytest.mark.parametrize("argv", [
+        ("metrics", "--method", "sqrt", "--n", "4"),
+        ("sweep", "--methods", "sqrt", "--metrics", "maxse", "--n-max", "8",
+         "--out", "sweep.csv"),
+    ], ids=["metrics", "sweep"])
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 TiB", ""],
+                             ids=["numpy", "bare"])
+    def test_memory_error_exits_2(self, capsys, tmp_path, monkeypatch, argv, message):
+        threads = []
+
+        def exhausted(*args, **kwargs):
+            threads.append(threading.current_thread() is threading.main_thread())
+            raise MemoryError(message)
+
+        monkeypatch.setattr("countfact.metrics.error_report", exhausted)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: out of memory{': ' + message if message else ''}\n"
+        assert list(tmp_path.iterdir()) == []
+        # sweep raises in a pool worker; metrics in the main thread.
+        assert threads and set(threads) == {argv[0] == "metrics"}
 
 
 class TestSizeCheckedFirst:
@@ -745,6 +800,24 @@ class TestSimulate:
                                "--trials", "10", "--seed", "1", "--input", str(path))
         assert code == 0
         assert "empirical_err_inf" in out
+
+    @pytest.mark.parametrize("csv", ["x.csv", "link.csv"])
+    def test_input_naming_the_csv_exits_2_untouched(self, capsys, tmp_path, monkeypatch,
+                                                     csv):
+        # The appended row would corrupt the input for its next run; a
+        # symbolic link to it counts as the same file.
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulate factorized before checking its paths")
+
+        monkeypatch.setattr(fz, "factorize", must_not_run)
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "x.csv"
+        path.write_text("0\n1\n2\n3\n")
+        (tmp_path / "link.csv").symlink_to(path)
+        code, out, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "4",
+                                 "--trials", "2", "--input", "x.csv", "--csv", csv)
+        assert (code, out, err) == (2, "", "error: --input x.csv is also an output\n")
+        assert path.read_text() == "0\n1\n2\n3\n"
 
     @staticmethod
     def run_with_input(capsys, monkeypatch, path):

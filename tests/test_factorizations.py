@@ -28,7 +28,6 @@ from countfact import (
 from countfact.factorizations import (
     METHODS,
     NsrLeft,
-    _nsr_delta_q,
     group_algebra_factorization,
     sqrt_factorization,
 )
@@ -199,8 +198,9 @@ class TestNsrFactorization:
             assert np.all(dense[j, : j + 1] >= floor - 1e-12)
         assert_allclose(np.diag(dense), d, rtol=1e-14)
 
-    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("n", [16, 64, 4096, 2**16])
     def test_row_norm_lower_bound(self, n):
+        # row_sq[j] - d_j^2 H_jj = 2 d_j q_j + S_j, a sum of terms >= 0.
         table = coefficient_table(n)
         d_sq = table.d_sq
         row_sq = nsr_row_norms_sq(n)
@@ -272,26 +272,21 @@ class TestNsrFactorization:
         assert abs(math.sqrt(row_sq.sum() / n) - exact_mean) <= 1e-14 * exact_mean
         assert max(abs(x - y) for x, y in zip(row_sq, exact)) <= 1e-13 * max(exact)
 
-    @pytest.mark.parametrize("n", [1, 2, 64, 4096, 2**16])
-    def test_scan_terms_nonnegative(self, n):
-        delta, q = _nsr_delta_q(coefficient_table(n))
-        assert delta.shape == (n - 1,) and q.shape == (n,)
-        assert np.all(delta >= 0.0)
-        assert np.all(q >= 0.0)
-
-    def test_scan_terms_match_dense(self):
-        n = 512
-        table = coefficient_table(n)
-        delta, q = _nsr_delta_q(table)
-        c = dense_square_root(n)
-        d = np.sqrt(table.d_sq)
-        # d_i - d_{i+1} cancels, so it only bounds delta to a few ulp of d_0.
-        assert np.abs(delta - (d[:-1] - d[1:])).max() <= 4 * np.finfo(float).eps * d[0]
-        dense_q = np.tril(c @ c.T, -1)[:, :-1] @ delta
-        assert np.abs(q - dense_q).max() <= 1e-13 * dense_q.max()
-
     def test_reruns_bit_identical(self):
         assert np.array_equal(nsr_row_norms_sq(1000), nsr_row_norms_sq(1000))
+
+    # Traced peaks in n-length float64 arrays (8n bytes) at n = 2^16.
+    def test_profile_working_set(self):
+        # Its FFT stage: d, delta, the spectrum of w, kappa and its spectrum.
+        n = 2**16
+        coefficient_table(n)
+        assert traced_peak(lambda: nsr_row_norms_sq(n)) <= 7.5 * 8 * n
+
+    def test_cold_report_working_set(self):
+        # The table's r and d_sq, then the profile before any operator array.
+        n = 2**16
+        coefficient_table.cache_clear()
+        assert traced_peak(lambda: error_report(NSR, n)) <= 9.5 * 8 * n
 
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_apply_matches_convolve_oracle(self, n):
