@@ -7,6 +7,7 @@ import math
 import os
 import re
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,34 @@ class TestCoeffs:
         assert run_cli(capsys, "coeffs", "--n", "3", "--csv", str(fresh))[0] == 0
         assert path.read_bytes() == fresh.read_bytes()
         assert path.read_text().count("k,r,rtilde,d_sq,alpha\n") == 1
+
+    # Each doctored column, one entry scaled, breaks one documented property
+    # of the table; the rest of the table is the real one.
+    @pytest.mark.parametrize("n, field, index, factor, message", [
+        (1, "r", 0, 2.0, "r must start at 1 and be strictly decreasing"),
+        (8, "r", 0, 2.0, "r must start at 1 and be strictly decreasing"),
+        (8, "r", 3, 1.25, "r must start at 1 and be strictly decreasing"),
+        (8, "r", 7, 0.5, "squared coefficients violate the Wallis sandwich"),
+        (8, "rtilde", 7, 1.0 + 1e-9, "prefix sums of rtilde deviate from r by "),
+        (1, "d_sq", 0, 1.5, "d_sq must be strictly decreasing and end at 1"),
+        (8, "d_sq", 7, 1.5, "d_sq must be strictly decreasing and end at 1"),
+        (8, "d_sq", 0, 1.0 + 1e-12,
+         "adjacent d_sq differences do not match squared coefficients"),
+        (8, "alpha", 2, 0.98, "alpha must be strictly increasing"),
+        (1, "alpha", 0, 1.07, "alpha left the interval [1, 1.0663]"),
+        (8, "alpha", 7, 1.02, "alpha left the interval [1, 1.0663]"),
+    ])
+    def test_check_fails_on_a_doctored_table(self, capsys, monkeypatch, n, field, index,
+                                             factor, message):
+        table = sequences.coefficient_table(n)
+        columns = {name: getattr(table, name).copy()
+                   for name in ("r", "rtilde", "d_sq", "alpha")}
+        columns[field][index] *= factor
+        monkeypatch.setattr(cli, "coefficient_table",
+                            lambda size: types.SimpleNamespace(n=size, **columns))
+        code, _, err = run_cli(capsys, "coeffs", "--n", str(n), "--check")
+        assert code == 1
+        assert f"CHECK FAIL [coeffs] {message}" in err
 
 
 class TestFactorize:
@@ -137,6 +166,22 @@ class TestFactorize:
         assert "CHECK FAIL [factorize] right-factor columns deviate from unit norm" in err
         assert "reconstruction" not in err
 
+    def test_check_catches_a_wrong_product(self, capsys, monkeypatch):
+        monkeypatch.setattr(fz, "verify_reconstruction", lambda f: 1e-6)
+        code, _, err = run_cli(capsys, "factorize", "--method", "sqrt", "--n", "8",
+                               "--check")
+        assert (code, err) == (1, "CHECK FAIL [factorize] reconstruction deviates by "
+                                  "1.000e-06\n")
+
+    def test_without_check_verifies_nothing(self, capsys, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("factorize verified without --check")
+
+        monkeypatch.setattr(fz, "verify_reconstruction", must_not_run)
+        code, out, err = run_cli(capsys, "factorize", "--method", "nsr", "--n", "8")
+        assert (code, err) == (0, "")
+        assert "maxse" in out and "CHECK" not in out
+
 
 class TestMetrics:
     def test_check_passes_on_worked_example(self, capsys):
@@ -180,6 +225,26 @@ class TestBounds:
         assert code == 0
         line = next(l for l in out.splitlines() if l.startswith("nuclear_lb"))
         assert abs(float(line.split()[-1]) - 1.0) < 1e-12
+
+    def test_check_catches_bounds_out_of_order(self, capsys, monkeypatch):
+        original = bounds_mod.bound_report
+
+        def swapped(n):
+            report = original(n)
+            return dataclasses.replace(report, nuclear_lb=report.mathias_lb,
+                                       mathias_lb=report.nuclear_lb)
+
+        monkeypatch.setattr(bounds_mod, "bound_report", swapped)
+        code, _, err = run_cli(capsys, "bounds", "--n", "64", "--check")  # no SVD above 32
+        assert (code, err) == (1, "CHECK FAIL [bounds] nuclear bound fell below the "
+                                  "weaker bound\n")
+
+    def test_check_catches_a_disagreeing_svd(self, capsys, monkeypatch):
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kwargs: 1.001 * svd(a, **kwargs))
+        code, _, err = run_cli(capsys, "bounds", "--n", "16", "--check")
+        assert (code, err) == (1, "CHECK FAIL [bounds] cosecant sum disagrees with the "
+                                  "SVD oracle\n")
 
 
 class TestSweep:
@@ -374,6 +439,55 @@ class TestSweep:
         assert code == 0
         assert "CHECK OK [sweep]" in out
         assert sorted(calls) == cli.sweep_sizes(4, 8192, geometric=True)
+
+    def test_check_catches_nsr_above_sqrt(self, capsys, tmp_path, monkeypatch):
+        original = mt.error_report
+
+        def doubled_nsr(method, n):
+            report = original(method, n)
+            return (dataclasses.replace(report, maxse=2.0 * report.maxse)
+                    if method == fz.NSR else report)
+
+        monkeypatch.setattr(mt, "error_report", doubled_nsr)
+        code, _, err = run_cli(capsys, "sweep", "--methods", "sqrt,nsr", "--metrics", "maxse",
+                               "--n-min", "2", "--n-max", "8",
+                               "--out", str(tmp_path / "sweep.csv"), "--check")
+        # n = 2 is exempt: there nsr is below sqrt only from n = 4 on.
+        assert (code, err) == (1, "".join(
+            f"CHECK FAIL [sweep] normalized maxse above plain square root at n = {n}\n"
+            for n in (4, 8)))
+
+    def test_every_size_without_geometric(self, capsys, tmp_path):
+        path = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--methods", "sqrt", "--metrics", "maxse",
+                             "--n-min", "3", "--n-max", "6", "--no-geometric",
+                             "--out", str(path))
+        assert code == 0
+        rows = path.read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["3", "4", "5", "6"]
+
+    def test_n_min_above_n_max_exits_2_without_file(self, capsys, tmp_path):
+        path = tmp_path / "never.csv"
+        code, out, err = run_cli(capsys, "sweep", "--n-min", "9", "--n-max", "4",
+                                 "--out", str(path))
+        assert (code, out, err) == (2, "", "error: need 1 <= n_min <= n_max, got 9..4\n")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("rows", [
+        [(8, "sqrt", "maxse", 2.0, 1.0, 1.1)],  # one size: no x range
+        [(n, "nsr", "maxse", 2.0, 0.8, 0.8) for n in (4, 8, 16)],  # constant y
+    ], ids=["one-size", "constant-residual"])
+    def test_svg_of_a_degenerate_range_is_finite(self, tmp_path, rows):
+        # The chart widens an empty range to one unit, centred on its value,
+        # rather than divide by zero.
+        path = tmp_path / "sweep.svg"
+        cli.write_sweep_svg(str(path), rows)
+        svg = path.read_text()
+        coordinates = re.findall(r'\s(?:points|x|y|x1|y1|x2|y2)="([^"]*)"', svg)
+        numbers = [float(x) for value in coordinates for x in re.split(r"[ ,]", value)]
+        assert svg.count("<polyline") == 1
+        assert numbers and all(math.isfinite(x) for x in numbers)
+        assert not re.search(r"nan|inf", svg)
 
 
 # The whole stdout of metrics and bounds, pinned: the report's fields, then
@@ -775,6 +889,69 @@ class TestSimulate:
                                "--trials", "200", "--seed", "1", "--check")
         assert code == 1
         assert "CHECK FAIL [simulate] standardized deviations have off-unit variance" in err
+
+    def test_check_catches_a_biased_mean(self, capsys, monkeypatch):
+        original = cli.estimate_errors
+
+        def biased(cfg):
+            result = original(cfg)
+            return dataclasses.replace(result, z_mean=result.z_mean + 10.0)
+
+        monkeypatch.setattr(cli, "estimate_errors", biased)
+        code, _, err = run_cli(capsys, "simulate", "--method", "nsr", "--n", "64",
+                               "--trials", "50", "--seed", "1", "--check")
+        assert (code, err) == (1, "CHECK FAIL [simulate] standardized deviations have "
+                                  "biased mean\n")
+
+    def test_check_catches_a_rerun_that_differs(self, capsys, monkeypatch):
+        original, runs = cli.estimate_errors, []
+
+        def drifting(cfg):  # the rerun is one ulp off
+            result = original(cfg)
+            runs.append(cfg)
+            if len(runs) == 1:
+                return result
+            return dataclasses.replace(
+                result, empirical_err_2=math.nextafter(result.empirical_err_2, math.inf))
+
+        monkeypatch.setattr(cli, "estimate_errors", drifting)
+        code, _, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "64",
+                               "--trials", "50", "--seed", "1", "--check")
+        assert (code, err) == (1, "CHECK FAIL [simulate] rerun with the identical seed was "
+                                  "not bit-identical\n")
+        assert len(runs) == 2
+
+    def test_ones_input_gives_the_zeros_row(self, capsys, tmp_path):
+        # The estimates are computed from the noise alone, whatever the input.
+        rows = {}
+        for source in ("zeros", "ones"):
+            path = tmp_path / f"{source}.csv"
+            assert run_cli(capsys, "simulate", "--method", "group-algebra", "--n", "16",
+                           "--trials", "20", "--seed", "3", "--input", source,
+                           "--csv", str(path))[0] == 0
+            rows[source] = path.read_text()
+        assert rows["ones"] == rows["zeros"]
+
+    def test_infinite_mu_has_no_z_lines_and_passes_check(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--method", "nsr", "--n", "16",
+                                 "--trials", "5", "--mu", "inf", "--check")
+        assert (code, err) == (0, "")
+        *lines, last = out.splitlines()
+        printed = dict(line.split() for line in lines)
+        assert printed["empirical_err_inf"] == printed["theory_err_inf"] == "0"
+        assert not [name for name in printed if name.startswith("z_")]
+        assert last == "CHECK OK [simulate]"
+
+    def test_one_trial_passes_check(self, capsys):
+        # One trial leaves z_var = 0: its band is open, only z_mean is tested.
+        code, out, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "16",
+                                 "--trials", "1", "--check")
+        assert (code, err) == (0, "")
+        *lines, last = out.splitlines()
+        printed = dict(line.split() for line in lines)
+        assert printed["z_var_min"] == printed["z_var_max"] == "0"
+        assert last == "CHECK OK [simulate]"
+        assert cli._z_bands(1, 16)[1:] == (-math.inf, math.inf)
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--trials", "0", "trials must be >= 1, got 0"),

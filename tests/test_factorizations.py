@@ -27,6 +27,7 @@ from countfact import (
 )
 from countfact.factorizations import (
     METHODS,
+    ColumnScaled,
     NsrLeft,
     group_algebra_factorization,
     sqrt_factorization,
@@ -180,6 +181,11 @@ class TestNsrFactorization:
         dense = nsr_factorization(n).left.to_dense()
         recomputed = (dense * dense).sum(axis=1)
         assert_allclose(nsr_row_norms_sq(n), recomputed, rtol=1e-12)
+
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_right_factor_refuses_a_scale_of_the_wrong_length(self, size):
+        with pytest.raises(ValueError, match="scale length must match matrix size"):
+            ColumnScaled(coefficient_table(4).r, np.ones(size))
 
     def test_unit_right_columns(self):
         f = nsr_factorization(128)

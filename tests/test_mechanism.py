@@ -52,6 +52,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(n=8, x=np.zeros(9))
 
+    def test_refuses_a_negative_trial_index(self):
+        # A negative index would make the Philox key negative.
+        with pytest.raises(ValueError, match="trial_index must be >= 0, got -1"):
+            _generator(0, -1)
+
     def test_infinite_mu_allowed(self):
         cfg = make_config(mu=math.inf)
         assert cfg.mu == math.inf

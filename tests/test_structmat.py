@@ -114,6 +114,11 @@ class TestLowerTriangularToeplitz:
         assert np.array_equal(a.apply(y), LowerTriangularToeplitz(a.col).apply(y))
         assert a._spectrum is spectrum
 
+    @pytest.mark.parametrize("col", [[], [[1.0, 0.5]]], ids=["empty", "2-D"])
+    def test_refuses_a_column_that_is_not_a_nonempty_vector(self, col):
+        with pytest.raises(ValueError, match="first column must be a nonempty 1-D array"):
+            LowerTriangularToeplitz(col)
+
     def test_read_only_columns_are_shared_and_writable_ones_copied(self):
         n = 1000
         table = coefficient_table(n)
