@@ -144,6 +144,12 @@ def write_sweep_csv(path: str, rows) -> None:
     _write_csv(path, SWEEP_HEADER, rows)
 
 
+def _append_rows(args, rows) -> None:
+    """Append rows to --csv, if given, under the header main checked it for."""
+    if args.csv:
+        _write_csv(args.csv, _APPENDED_HEADER[args.command], rows, append=True)
+
+
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd",
     "#ff7f0e", "#8c564b", "#17becf", "#e377c2",
@@ -246,28 +252,24 @@ def cmd_coeffs(args) -> list[str] | None:
 
 def _coeff_checks(table) -> list[str]:
     failures = []
-    n = table.n
-    if table.r[0] != 1.0 or (n > 1 and np.any(np.diff(table.r) >= 0)):
+    if table.r[0] != 1.0 or np.any(np.diff(table.r) >= 0):
         failures.append("r must start at 1 and be strictly decreasing")
-    if n > 1:
-        k = np.arange(1, n)
-        r_sq = table.r[1:] ** 2
-        lower = 1.0 / (np.pi * (k + 4.0 / np.pi - 1.0))
-        upper = 1.0 / (np.pi * (k + 0.25))
-        if np.any(r_sq < lower * (1 - 1e-12)) or np.any(r_sq > upper * (1 + 1e-12)):
-            failures.append("squared coefficients violate the Wallis sandwich")
+    k = np.arange(1, table.n)
+    r_sq = table.r[1:] ** 2
+    lower = 1.0 / (np.pi * (k + 4.0 / np.pi - 1.0))
+    upper = 1.0 / (np.pi * (k + 0.25))
+    if np.any(r_sq < lower * (1 - 1e-12)) or np.any(r_sq > upper * (1 + 1e-12)):
+        failures.append("squared coefficients violate the Wallis sandwich")
     prefix_gap = np.abs(np.cumsum(table.rtilde) - table.r).max()
     if prefix_gap > 1e-13:
         failures.append(f"prefix sums of rtilde deviate from r by {prefix_gap:.3e}")
-    if table.d_sq[-1] != 1.0 or (n > 1 and np.any(np.diff(table.d_sq) >= 0)):
+    if table.d_sq[-1] != 1.0 or np.any(np.diff(table.d_sq) >= 0):
         failures.append("d_sq must be strictly decreasing and end at 1")
-    if n > 1:
-        diff = table.d_sq[:-1] - table.d_sq[1:]
-        expected = (table.r[1:] ** 2)[::-1]
-        if np.any(np.abs(diff - expected) > 1e-14 * table.d_sq[:-1]):
-            failures.append("adjacent d_sq differences do not match squared coefficients")
-        if np.any(np.diff(table.alpha) <= 0):
-            failures.append("alpha must be strictly increasing")
+    diff = table.d_sq[:-1] - table.d_sq[1:]
+    if np.any(np.abs(diff - r_sq[::-1]) > 1e-14 * table.d_sq[:-1]):
+        failures.append("adjacent d_sq differences do not match squared coefficients")
+    if np.any(np.diff(table.alpha) <= 0):
+        failures.append("alpha must be strictly increasing")
     if np.any(table.alpha < 1.0 - 1e-12) or np.any(table.alpha > 1.0663):
         failures.append("alpha left the interval [1, 1.0663]")
     return failures
@@ -283,7 +285,6 @@ def cmd_factorize(args) -> list[str] | None:
         if getattr(args, flag) and args.n > DENSE_BUDGET:
             raise UsageError(f"--{flag} needs n <= {DENSE_BUDGET}")
     f = fz.factorize(args.method, args.n)
-    report = mt.error_report(args.method, args.n, factorization=f)
     _print_table([
         ("method", f.method),
         ("n", f.n),
@@ -291,8 +292,8 @@ def cmd_factorize(args) -> list[str] | None:
         ("max_row_norm_left", math.sqrt(float(np.max(f.row_norms_sq_left)))),
         ("max_col_norm_right", math.sqrt(float(np.max(f.col_norms_sq_right)))),
         ("frobenius_left", math.sqrt(f.frobenius_sq_left)),
-        ("maxse", report.maxse),
-        ("meanse", report.meanse),
+        ("maxse", mt.maxse(f)),
+        ("meanse", mt.meanse(f)),
     ])
     if args.dump:
         for path, mat in zip(_dump_paths(args.dump), (f.left, f.right)):
@@ -313,8 +314,7 @@ def cmd_factorize(args) -> list[str] | None:
 
 
 def cmd_metrics(args) -> list[str] | None:
-    f = fz.factorize(args.method, args.n)
-    report = mt.error_report(args.method, args.n, factorization=f)
+    report = mt.error_report(args.method, args.n)
     closed_form, extras = None, []
     if args.method == fz.SQRT:
         closed_form = mt.closed_form_maxse_sqrt(args.n)
@@ -323,10 +323,8 @@ def cmd_metrics(args) -> list[str] | None:
         closed_form = mt.closed_form_maxse_group_algebra(args.n)
         extras = [("closed_form_maxse", closed_form), ("closed_form_meanse", closed_form)]
     _print_report(report, extras)
-    if args.csv:
-        _write_csv(args.csv, SWEEP_HEADER,
-                   _report_rows(args.n, args.method, report, mt.METRICS), append=True)
-    return _metric_checks(f, report, closed_form) if args.check else None
+    _append_rows(args, _report_rows(args.n, args.method, report, mt.METRICS))
+    return _metric_checks(report, closed_form) if args.check else None
 
 
 def _point_checks(maxse: float, meanse: float | None, nuclear: float) -> list[str]:
@@ -339,16 +337,17 @@ def _point_checks(maxse: float, meanse: float | None, nuclear: float) -> list[st
     return failures
 
 
-def _metric_checks(f, report, closed_form) -> list[str]:
+def _metric_checks(report, closed_form) -> list[str]:
     failures = _point_checks(report.maxse, report.meanse,
-                             bounds_mod.nuclear_lower_bound(f.n))
+                             bounds_mod.nuclear_lower_bound(report.n))
     # The group-algebra norm is stored as its closed form, so its oracle is
     # the squared norm of the operator's column: one irfft of the half
-    # spectrum.
-    if f.method == fz.SQRT:
+    # spectrum, which a factorization builds only when asked.
+    if report.method == fz.SQRT:
         oracle, tol = closed_form, 1e-12
-    elif f.method == fz.GROUP_ALGEBRA:
-        oracle, tol = math.fsum(np.square(f.left.col)), 1e-9
+    elif report.method == fz.GROUP_ALGEBRA:
+        column = fz.factorize(fz.GROUP_ALGEBRA, report.n).left.col
+        oracle, tol = math.fsum(np.square(column)), 1e-9
     else:
         return failures
     rel = abs(report.maxse - oracle) / oracle
@@ -362,10 +361,7 @@ def cmd_bounds(args) -> list[str] | None:
     # G(n) is defined from n = 2 on.
     _print_report(report, zip(("g_n", "g_n_predicted"), bounds_mod.cosecant_average(args.n))
                   if args.n >= 2 else ())
-    if args.csv:
-        _write_csv(args.csv, SWEEP_HEADER,
-                   _report_rows(args.n, LOWER_BOUND_METHOD, report, BOUND_METRICS),
-                   append=True)
+    _append_rows(args, _report_rows(args.n, LOWER_BOUND_METHOD, report, BOUND_METRICS))
     if not args.check:
         return None
     failures = []
@@ -472,7 +468,8 @@ def cmd_simulate(args) -> list[str] | None:
     cfg = MechanismConfig(factorization=f, mu=args.mu, trials=args.trials,
                           seed=args.seed, input=x)
     result = estimate_errors(cfg)
-    if np.isfinite(result.z_mean).all():
+    standardized = np.isfinite(result.z_mean).all()  # sigma > 0
+    if standardized:
         z_summary = [
             ("max_abs_z_mean", float(np.abs(result.z_mean).max())),
             ("z_var_min", float(result.z_var.min())),
@@ -484,12 +481,11 @@ def cmd_simulate(args) -> list[str] | None:
               result.empirical_err_inf, result.empirical_err_2,
               result.theory_err_inf, result.theory_err_2)
     _print_table(list(zip(SIMULATE_HEADER, values)) + z_summary)
-    if args.csv:
-        _write_csv(args.csv, SIMULATE_HEADER, [values], append=True)
+    _append_rows(args, [values])
     if not args.check:
         return None
     failures = []
-    if np.isfinite(result.z_mean).all():
+    if standardized:
         mean_bound, var_low, var_high = _z_bands(args.trials, args.n)
         if np.abs(result.z_mean).max() >= mean_bound:
             failures.append("standardized deviations have biased mean")

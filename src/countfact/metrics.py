@@ -94,14 +94,9 @@ class ErrorReport:
     predicted_meanse_residual: float
 
 
-def error_report(
-    method: str, n: int, factorization: Factorization | None = None
-) -> ErrorReport:
-    """Evaluate both error norms for one method and size.
-
-    Pass an existing Factorization to avoid rebuilding it.
-    """
-    f = factorization if factorization is not None else factorize(method, n)
+def error_report(method: str, n: int) -> ErrorReport:
+    """Evaluate both error norms for one method and size."""
+    f = factorize(method, n)
     offset = residual_offset(n)
     value_max = maxse(f)
     value_mean = meanse(f)

@@ -217,23 +217,16 @@ class NamedConstants:
     constants the residuals converge to.
     """
 
-    euler_gamma: float
-    alpha_infinity: float  # (gamma + log 16) / pi, limit of alpha_n
-    nsr_maxse_const: float  # (gamma + log 8) / pi = alpha_infinity - log(2)/pi
-    nsr_meanse_const: float  # (gamma + log 16 - 1) / pi = alpha_infinity - 1/pi
-    sqrt_meanse_const: float  # alpha_infinity - 1/(2 pi)
-    ga_const: float  # 1/2 + (gamma + log(8/pi)) / pi
-    lb_const: float  # (gamma + log(16/pi)) / pi
-    mathias_lb_const: float  # (gamma + log(8/pi)) / pi
+    euler_gamma: float = EULER_GAMMA
+    alpha_infinity: float = (EULER_GAMMA + math.log(16.0)) / math.pi  # limit of alpha_n
+    # = alpha_infinity - log(2)/pi
+    nsr_maxse_const: float = (EULER_GAMMA + math.log(8.0)) / math.pi
+    # = alpha_infinity - 1/pi
+    nsr_meanse_const: float = (EULER_GAMMA + math.log(16.0) - 1.0) / math.pi
+    sqrt_meanse_const: float = (EULER_GAMMA + math.log(16.0)) / math.pi - 0.5 / math.pi
+    ga_const: float = 0.5 + (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
+    lb_const: float = (EULER_GAMMA + math.log(16.0 / math.pi)) / math.pi
+    mathias_lb_const: float = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
 
 
-CONSTANTS = NamedConstants(
-    euler_gamma=EULER_GAMMA,
-    alpha_infinity=(EULER_GAMMA + math.log(16.0)) / math.pi,
-    nsr_maxse_const=(EULER_GAMMA + math.log(8.0)) / math.pi,
-    nsr_meanse_const=(EULER_GAMMA + math.log(16.0) - 1.0) / math.pi,
-    sqrt_meanse_const=(EULER_GAMMA + math.log(16.0)) / math.pi - 0.5 / math.pi,
-    ga_const=0.5 + (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi,
-    lb_const=(EULER_GAMMA + math.log(16.0 / math.pi)) / math.pi,
-    mathias_lb_const=(EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi,
-)
+CONSTANTS = NamedConstants()

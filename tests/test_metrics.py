@@ -132,6 +132,12 @@ class TestErrorReport:
         assert not [name for name, member in vars(type(report)).items()
                     if isinstance(member, (property, functools.cached_property))]
 
+    def test_builds_its_own_factorization(self):
+        # A factorization passed in could belong to another (method, n)
+        # and be reported under this one's name.
+        with pytest.raises(TypeError):
+            error_report(SQRT, 64, factorization=factorize(NSR, 128))
+
     def test_closed_forms_attached(self, capsys):
         # metrics prints the closed forms after the report's fields, at 17
         # digits; the group-algebra MeanSE is its MaxSE, and nsr has none.
