@@ -23,17 +23,14 @@ def residual_offset(n: int) -> float:
 
 
 def maxse(f: Factorization) -> float:
-    """Worst-coordinate error norm of the factorization at unit noise."""
-    left = math.sqrt(float(np.max(f.row_norms_sq_left)))
-    right = math.sqrt(float(np.max(f.col_norms_sq_right)))
-    return left * right
+    """Worst-coordinate error norm of the factorization at unit noise, as the
+    root of one product: equal squared norms a (sqrt, group-algebra) give a exactly."""
+    return math.sqrt(float(np.max(f.row_norms_sq_left)) * float(np.max(f.col_norms_sq_right)))
 
 
 def meanse(f: Factorization) -> float:
     """Mean-squared error norm of the factorization at unit noise."""
-    left = math.sqrt(f.frobenius_sq_left / f.n)
-    right = math.sqrt(float(np.max(f.col_norms_sq_right)))
-    return left * right
+    return math.sqrt(f.frobenius_sq_left / f.n * float(np.max(f.col_norms_sq_right)))
 
 
 def closed_form_maxse_sqrt(n: int) -> float:

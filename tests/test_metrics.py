@@ -61,6 +61,16 @@ class TestMaxseMeanse:
         for method in (SQRT, NSR, GROUP_ALGEBRA):
             assert nuclear_lower_bound(n) <= maxse(factorize(method, n)) * (1 + 1e-9)
 
+    def test_maxse_is_the_stored_squared_norm_exactly(self):
+        # Where the left rows and right columns peak at one squared norm a,
+        # MaxSE is a itself: d_sq[0] for sqrt, the one stored norm for
+        # group-algebra.  Two square roots multiplied missed it by an ulp
+        # at 1,367 and 1,304 of these sizes.
+        for n in range(1, 3000):
+            assert maxse(sqrt_factorization(n)) == coefficient_table(n).d_sq[0], n
+            f = factorize(GROUP_ALGEBRA, n)
+            assert maxse(f) == f.row_norms_sq_left[0] == f.col_norms_sq_right[0], n
+
 
 class TestClosedForms:
     @pytest.mark.parametrize("n", list(range(1, 65)) + [256, 1024])
