@@ -145,7 +145,7 @@ def write_sweep_csv(path: str, rows) -> None:
 
 
 def _append_rows(args, rows) -> None:
-    """Append rows to --csv, if given, under the header main checked it for."""
+    """Append rows to --csv, if given, under the header main checks it against."""
     if args.csv:
         _write_csv(args.csv, _APPENDED_HEADER[args.command], rows, append=True)
 
