@@ -40,8 +40,6 @@ METHODS = (SQRT, NSR, GROUP_ALGEBRA)
 class ColumnScaled(LowerTriangularToeplitz):
     """A lower-triangular Toeplitz matrix with column k divided by scale[k]."""
 
-    __slots__ = ("scale",)
-
     def __init__(self, col, scale: np.ndarray):
         super().__init__(col)
         if scale.shape != (self.n,):
@@ -64,8 +62,6 @@ class NsrLeft(LowerTriangularToeplitz):
     t = 0..n-1-k; the diagonal entry is d[k].  Its row norms come from
     nsr_row_norms_sq in O(n log n) time and O(n) memory.
     """
-
-    __slots__ = ("d",)
 
     def __init__(self, rtilde: np.ndarray, d: np.ndarray):
         super().__init__(rtilde)

@@ -192,14 +192,13 @@ class CoefficientTable:
         return alpha
 
 
-@functools.lru_cache(maxsize=2)
 def coefficient_table(n: int) -> CoefficientTable:
-    """Build (and memoize) the coefficient table at size n.
+    """Build the coefficient table at size n, in O(n).
 
-    The table is immutable and safe to share across threads.  The cache
-    holds the two most recent sizes, 16n bytes each (32n once rtilde and
-    alpha are read), because a sweep point looks its size up at most twice;
-    rebuilding an evicted size costs O(n).
+    Every call builds a new table, 16n bytes (32n once rtilde and alpha
+    are read), which lives as long as its caller holds it: a factorization
+    keeps the arrays its operators and profiles read, and nothing else
+    does.  The table is immutable and safe to share across threads.
     """
     r = wallis_coeffs(n)
     d_sq = np.empty(n)

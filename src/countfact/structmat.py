@@ -36,32 +36,27 @@ class CirculantSlice:
     it from the spectrum, by one irfft, when a dense view first reads it.
     """
 
-    __slots__ = ("shape", "fft_size", "_half_spectrum", "_spectrum", "_col")
-
     def __init__(self, shape: tuple[int, int], fft_size: int, half_spectrum,
                  col: np.ndarray | None = None):
         self.shape = shape
         self.fft_size = fft_size
         self._half_spectrum = half_spectrum
-        self._spectrum = None
-        self._col = col
+        if col is not None:
+            self.col = col
 
     @property
     def n(self) -> int:
         return min(self.shape)
 
-    @property
+    @functools.cached_property
     def spectrum(self) -> np.ndarray:
-        if self._spectrum is None:
-            self._spectrum = self._half_spectrum()
-        return self._spectrum
+        return self._half_spectrum()
 
-    @property
+    @functools.cached_property
     def col(self) -> np.ndarray:
-        if self._col is None:
-            self._col = np.fft.irfft(self.spectrum, self.fft_size)
-            self._col.setflags(write=False)
-        return self._col
+        col = np.fft.irfft(self.spectrum, self.fft_size)
+        col.setflags(write=False)
+        return col
 
     def _convolve(self, x: np.ndarray) -> np.ndarray:
         # rfft would silently truncate a longer input or pad a shorter one.
@@ -86,8 +81,6 @@ class LowerTriangularToeplitz(CirculantSlice):
     of two such matrices is again lower-triangular Toeplitz, with first
     column the truncated convolution of the factors' columns.
     """
-
-    __slots__ = ()
 
     def __init__(self, col):
         col = np.asarray(col, dtype=np.float64)

@@ -1,5 +1,5 @@
-"""Peak traced memory of one call, and the working-memory bound of the
-blocked O(n) kernels."""
+"""Peak traced memory of one call, the memory it leaves allocated, and the
+working-memory bound of the blocked O(n) kernels."""
 
 import tracemalloc
 
@@ -16,5 +16,17 @@ def traced_peak(fn) -> int:
     try:
         fn()
         return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def traced_growth(fn) -> int:
+    """Bytes still allocated after fn returned and its result was dropped,
+    beyond those allocated before it ran."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

@@ -4,7 +4,7 @@ import functools
 import math
 
 import pytest
-from memory import BLOCK_WORKSPACE, traced_peak
+from memory import BLOCK_WORKSPACE, traced_growth, traced_peak
 from numpy.testing import assert_allclose
 
 from countfact import (
@@ -125,14 +125,22 @@ class TestPredictedResiduals:
 
 
 class TestErrorReport:
-    def test_sqrt_report_adds_nothing_n_long_to_the_table(self):
-        # Cold, the peak is the coefficient table's two arrays and the
-        # compensated sum's blocks; warm, the factors share the table's
-        # column and the row profile is a view of its d_sq.
+    def test_sqrt_report_adds_nothing_n_long_to_the_table(self, monkeypatch):
+        # The peak is the coefficient table's two arrays and the compensated
+        # sum's blocks; handed a built table, the factors share its column
+        # and the row profile is a view of its d_sq.
         n = 2**16
-        coefficient_table.cache_clear()
         assert traced_peak(lambda: error_report(SQRT, n)) <= 2 * 8 * n + BLOCK_WORKSPACE
+        table = coefficient_table(n)
+        monkeypatch.setattr("countfact.factorizations.coefficient_table", lambda n: table)
         assert traced_peak(lambda: error_report(SQRT, n)) <= 4096
+
+    @pytest.mark.parametrize("method", [SQRT, NSR, GROUP_ALGEBRA])
+    def test_report_keeps_nothing_alive(self, method):
+        # Tables live only as long as the factorization that holds them;
+        # the odd cosecant sum's memo keeps one float per size.
+        error_report(method, 64)  # first-call allocations of numpy and the memo
+        assert traced_growth(lambda: error_report(method, 2**16)) <= 4096
 
     def test_residual_definition(self):
         report = error_report(NSR, 16)

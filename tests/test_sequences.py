@@ -3,6 +3,7 @@
 import itertools
 import math
 import timeit
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -123,22 +124,35 @@ class TestLandauAlpha:
 
 
 class TestCoefficientTable:
-    def test_cached_and_immutable(self):
+    def test_built_per_call_and_immutable(self):
         table = coefficient_table(32)
-        assert coefficient_table(32) is table
+        again = coefficient_table(32)
+        assert again is not table
+        assert np.array_equal(again.r, table.r) and np.array_equal(again.d_sq, table.d_sq)
         with pytest.raises(ValueError):
             table.r[0] = 2.0
 
-    def test_cache_holds_at_most_two_tables_after_a_sweep(self):
+    def test_no_table_outlives_a_sweep(self, monkeypatch):
+        # Each table lives as long as the factorization that holds it.
+        tables = []
+
+        def recorded(n):
+            table = coefficient_table(n)
+            tables.append(weakref.ref(table))
+            return table
+
+        for module in ("countfact.factorizations", "countfact.metrics"):
+            monkeypatch.setattr(f"{module}.coefficient_table", recorded)
         sizes = [2**k for k in range(2, 17)]
         sweep_rows(("sqrt", "nsr"), ("maxse", "meanse"), sizes)
-        assert coefficient_table.cache_info().currsize <= 2
+        assert len(tables) >= 2 * len(sizes)
+        assert [ref() for ref in tables if ref() is not None] == []
 
-    def test_rtilde_and_alpha_computed_on_first_read(self):
-        coefficient_table.cache_clear()
+    def test_rtilde_and_alpha_computed_on_first_read(self, monkeypatch):
+        table = coefficient_table(64)
+        monkeypatch.setattr("countfact.factorizations.coefficient_table", lambda n: table)
         error_report("sqrt", 64)
         error_report("group-algebra", 64)
-        table = coefficient_table(64)
         assert "rtilde" not in vars(table) and "alpha" not in vars(table)
         m = np.arange(1, 65, dtype=np.float64)
         expected = compensated_cumsum(table.r * table.r) - np.log(m) / math.pi
@@ -150,14 +164,12 @@ class TestCoefficientTable:
 
     def test_peak_memory_is_the_two_outputs_and_a_few_blocks(self):
         n = 2**16
-        coefficient_table.cache_clear()
         assert traced_peak(lambda: coefficient_table(n)) <= 2 * 8 * n + BLOCK_WORKSPACE
 
     @pytest.mark.parametrize("field", ["rtilde", "alpha"])
     def test_lazy_field_peak_memory_is_its_output(self, field):
         # Each is filled in place; a temporary would add n floats.
         n = 2**16
-        coefficient_table.cache_clear()
         table = coefficient_table(n)
         assert traced_peak(lambda: getattr(table, field)) <= 8 * n + 4096
 
