@@ -12,6 +12,7 @@ estimates MaxSE/mu and the root mean square estimates MeanSE/mu.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,18 @@ from .metrics import maxse, meanse
 
 
 def check_parameters(mu: float, trials: int, seed: int) -> None:
-    """Refuse a GDP level, trial count or seed that no simulation accepts."""
+    """Refuse a GDP level, trial count or seed that no simulation accepts.
+
+    trials and seed must be integers (``operator.index``: 2.5 and 4.0 are
+    refused), since a float seed would be truncated to another seed's noise.
+    """
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
+    for name, value in (("trials", trials), ("seed", seed)):
+        try:
+            operator.index(value)
+        except TypeError:
+            raise TypeError(f"{name} must be an integer, got {value!r}") from None
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
@@ -96,24 +106,32 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
     computed noise-only; the estimates are therefore bit-for-bit
     independent of the input, and scaling mu by a power of two rescales
     them exactly.  Accumulation is a plain sum of per-trial statistics in
-    trial order, so identical configs give bit-identical results.
+    trial order, so identical configs give bit-identical results.  A mu so
+    small that sigma or the squared deviations overflow is refused with a
+    ValueError, since no estimate it gives is finite.
     """
     f = cfg.factorization
     n = f.n
     sigma = noise_scale(f, cfg.mu)
+    if not math.isfinite(sigma):
+        raise ValueError(f"mu = {cfg.mu} is too small: the noise scale sigma overflows")
     z_scale = sigma * np.sqrt(np.asarray(f.row_norms_sq_left, dtype=np.float64))
     dev_sq_sum = np.zeros(n)
     z_sum = np.zeros(n)
     z_sq_sum = np.zeros(n)
-    for trial in range(cfg.trials):
-        z = _generator(cfg.seed, trial).standard_normal(f.inner_dim)
-        dev = f.left.apply(sigma * z)
-        dev_sq_sum += dev * dev
-        if sigma > 0.0:
-            standardized = dev / z_scale
-            z_sum += standardized
-            z_sq_sum += standardized * standardized
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        for trial in range(cfg.trials):
+            z = _generator(cfg.seed, trial).standard_normal(f.inner_dim)
+            dev = f.left.apply(sigma * z)
+            dev_sq_sum += dev * dev
+            if sigma > 0.0:
+                standardized = dev / z_scale
+                z_sum += standardized
+                z_sq_sum += standardized * standardized
     per_coord_ms = dev_sq_sum / cfg.trials
+    total_ms = float(per_coord_ms.sum())  # entries are >= 0: finite only if each is
+    if not math.isfinite(total_ms):
+        raise ValueError(f"mu = {cfg.mu} is too small: the squared deviations overflow")
     if sigma > 0.0:
         z_mean = z_sum / cfg.trials
         z_var = z_sq_sum / cfg.trials - z_mean * z_mean
@@ -122,7 +140,7 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
         z_var = np.full(n, np.nan)
     return SimulationResult(
         empirical_err_inf=math.sqrt(float(per_coord_ms.max())),
-        empirical_err_2=math.sqrt(float(per_coord_ms.sum()) / n),
+        empirical_err_2=math.sqrt(total_ms / n),
         theory_err_inf=maxse(f) / cfg.mu,
         theory_err_2=meanse(f) / cfg.mu,
         z_mean=z_mean,

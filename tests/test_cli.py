@@ -21,6 +21,9 @@ from countfact import sequences
 from countfact.cli import main
 
 
+SIMULATE_ERRORS = ("empirical_err_inf", "empirical_err_2", "theory_err_inf", "theory_err_2")
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -969,6 +972,28 @@ class TestSimulate:
                                  "--n", "1048576", flag, value)
         assert (code, out) == (2, "")
         assert err == f"error: {message}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["group-algebra", "nsr"])
+    @pytest.mark.parametrize("mu, overflow", [("1e-320", "the noise scale sigma overflows"),
+                                              ("1e-200", "the squared deviations overflow")])
+    def test_mu_too_small_exits_2(self, capsys, method, mu, overflow):
+        # sigma = inf gave NaN errors and a false rerun CHECK FAIL; sigma =
+        # 1e200 gave inf errors and CHECK OK.
+        code, out, err = run_cli(capsys, "simulate", "--method", method, "--n", "4",
+                                 "--trials", "3", "--mu", mu, "--check")
+        assert (code, out) == (2, "")
+        assert err == f"error: mu = {float(mu)!r} is too small: {overflow}\n"
+
+    def test_small_finite_mu_passes(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--method", "group-algebra", "--n", "4",
+                                 "--trials", "3", "--mu", "1e-150", "--check")
+        assert (code, err) == (0, "")
+        *lines, last = out.splitlines()
+        values = dict(line.split() for line in lines)
+        for name in SIMULATE_ERRORS:
+            assert math.isfinite(float(values[name])), name
+        assert last == "CHECK OK [simulate]"
 
     def test_input_file(self, capsys, tmp_path):
         path = tmp_path / "x.csv"

@@ -48,6 +48,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             make_config(trials=0)
 
+    @pytest.mark.parametrize("name, value", [("seed", 1.7), ("seed", 1.0),
+                                             ("trials", 2.5), ("trials", 3.0)])
+    def test_refuses_non_integer_seed_and_trials(self, name, value):
+        # A float seed would be truncated to another seed's noise.
+        with pytest.raises(TypeError, match=f"{name} must be an integer, got {value!r}"):
+            make_config(**{name: value})
+
     def test_rejects_wrong_input_length(self):
         with pytest.raises(ValueError):
             make_config(n=8, x=np.zeros(9))
