@@ -22,11 +22,8 @@ from .metrics import maxse, meanse
 
 
 def check_parameters(mu: float, trials: int, seed: int) -> None:
-    """Refuse a GDP level, trial count or seed that no simulation accepts.
-
-    trials and seed must be integers (``operator.index``: 2.5 and 4.0 are
-    refused), since a float seed would be truncated to another seed's noise.
-    """
+    """Refuse a GDP level, trial count or seed that no simulation accepts;
+    a float seed, truncated, would run another seed's noise."""
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     for name, value in (("trials", trials), ("seed", seed)):
@@ -107,8 +104,7 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
     independent of the input, and scaling mu by a power of two rescales
     them exactly.  Accumulation is a plain sum of per-trial statistics in
     trial order, so identical configs give bit-identical results.  A mu so
-    small that sigma or the squared deviations overflow is refused with a
-    ValueError, since no estimate it gives is finite.
+    small that sigma or the squared deviations overflow raises ValueError.
     """
     f = cfg.factorization
     n = f.n
@@ -129,8 +125,7 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
                 z_sum += standardized
                 z_sq_sum += standardized * standardized
     per_coord_ms = dev_sq_sum / cfg.trials
-    total_ms = float(per_coord_ms.sum())  # entries are >= 0: finite only if each is
-    if not math.isfinite(total_ms):
+    if not math.isfinite(total_ms := float(per_coord_ms.sum())):  # each entry is >= 0
         raise ValueError(f"mu = {cfg.mu} is too small: the squared deviations overflow")
     if sigma > 0.0:
         z_mean = z_sum / cfg.trials

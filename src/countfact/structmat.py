@@ -32,17 +32,15 @@ class CirculantSlice:
     by an rfft/irfft pair through the column's half spectrum, cut to
     shape[0] entries.  ``half_spectrum`` computes that spectrum and runs on
     the first product, so an operator that is never applied (as in every
-    sweep) never pays for it.  An operator built without its column computes
-    it from the spectrum, by one irfft, when a dense view first reads it.
+    sweep) never pays for it.  The column is computed from the spectrum, by
+    one irfft, when a dense view first reads it, unless a subclass stored
+    its own.
     """
 
-    def __init__(self, shape: tuple[int, int], fft_size: int, half_spectrum,
-                 col: np.ndarray | None = None):
+    def __init__(self, shape: tuple[int, int], fft_size: int, half_spectrum):
         self.shape = shape
         self.fft_size = fft_size
         self._half_spectrum = half_spectrum
-        if col is not None:
-            self.col = col
 
     @property
     def n(self) -> int:
@@ -90,8 +88,8 @@ class LowerTriangularToeplitz(CirculantSlice):
             raise ValueError("first column must be a nonempty 1-D array")
         col.setflags(write=False)
         size = fft_length(col.size)
-        super().__init__((col.size, col.size), size,
-                         functools.partial(np.fft.rfft, col, size), col)
+        super().__init__((col.size, col.size), size, functools.partial(np.fft.rfft, col, size))
+        self.col = col
 
 
 def counting_matrix(n: int) -> np.ndarray:

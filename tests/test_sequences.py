@@ -146,7 +146,7 @@ class TestCoefficientTable:
         sizes = [2**k for k in range(2, 17)]
         sweep_rows(("sqrt", "nsr"), ("maxse", "meanse"), sizes)
         assert len(tables) >= 2 * len(sizes)
-        assert [ref() for ref in tables if ref() is not None] == []
+        assert all(ref() is None for ref in tables)
 
     def test_rtilde_and_alpha_computed_on_first_read(self, monkeypatch):
         table = coefficient_table(64)
