@@ -21,9 +21,6 @@ from countfact import sequences
 from countfact.cli import main
 
 
-SIMULATE_ERRORS = ("empirical_err_inf", "empirical_err_2", "theory_err_inf", "theory_err_2")
-
-
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -978,8 +975,8 @@ class TestSimulate:
     @pytest.mark.parametrize("mu, overflow", [("1e-320", "the noise scale sigma overflows"),
                                               ("1e-200", "the squared deviations overflow")])
     def test_mu_too_small_exits_2(self, capsys, method, mu, overflow):
-        # sigma = inf gave NaN errors and a false rerun CHECK FAIL; sigma =
-        # 1e200 gave inf errors and CHECK OK.
+        # Unrefused, sigma = inf prints NaN errors and fails the rerun check
+        # (NaN != NaN), and sigma = 1e200 prints inf errors under CHECK OK.
         code, out, err = run_cli(capsys, "simulate", "--method", method, "--n", "4",
                                  "--trials", "3", "--mu", mu, "--check")
         assert (code, out) == (2, "")
@@ -991,7 +988,7 @@ class TestSimulate:
         assert (code, err) == (0, "")
         *lines, last = out.splitlines()
         values = dict(line.split() for line in lines)
-        for name in SIMULATE_ERRORS:
+        for name in ("empirical_err_inf", "empirical_err_2", "theory_err_inf", "theory_err_2"):
             assert math.isfinite(float(values[name])), name
         assert last == "CHECK OK [simulate]"
 
