@@ -10,7 +10,6 @@ separator, which round-trips float64 bitwise.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import math
 import os
@@ -22,7 +21,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import factorizations as fz
 from . import metrics as mt
-from .mechanism import MechanismConfig, check_parameters, estimate_errors
+from .mechanism import MechanismConfig, check_parameters, estimate_errors, pool_size
 from .sequences import check_size, coefficient_table
 from .structmat import DENSE_BUDGET, counting_matrix
 
@@ -103,8 +102,9 @@ def _report_rows(n, method, report, metrics) -> list[tuple]:
 def sweep_rows(methods, metrics, sizes):
     """One (n, method, metric, value, residual, predicted) tuple per point,
     sorted by (method, metric, n), so the rows do not depend on the number
-    of workers.  The pool has one worker per CPU, at most four: each worker
-    holds the arrays of one point, so the cap bounds peak memory."""
+    of workers (pool_size(): each worker holds the arrays of one point)."""
+    import concurrent.futures
+
     method_metrics = [m for m in mt.METRICS if m in metrics]
     bound_metrics = [m for m in BOUND_METRICS if m in metrics]
 
@@ -117,7 +117,7 @@ def sweep_rows(methods, metrics, sizes):
     points = [(method, n) for method in methods for n in sizes] if method_metrics else []
     if bound_metrics:
         points += [(LOWER_BOUND_METHOD, n) for n in sizes]
-    with concurrent.futures.ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
+    with concurrent.futures.ThreadPoolExecutor(pool_size()) as pool:
         rows = [row for point_rows in pool.map(point, points) for row in point_rows]
     rows.sort(key=lambda row: (row[1], row[2], row[0]))
     return rows

@@ -11,14 +11,30 @@ estimates MaxSE/mu and the root mean square estimates MeanSE/mu.
 
 from __future__ import annotations
 
+import collections
 import math
 import operator
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .factorizations import Factorization
 from .metrics import maxse, meanse
+
+
+# Trials whose noise is shorter than this run on the calling thread: numpy
+# drops and retakes the GIL on every call, and on short arrays that costs
+# more than a second core gains.
+POOL_FLOOR = 8192
+# Noise draws per pool task: short trials are handed out several at a time.
+_TASK_DRAWS = 2**15
+
+
+def pool_size() -> int:
+    """Threads of a worker pool: one per CPU, at most four.  Each thread
+    holds the arrays of one task, so the cap bounds peak memory."""
+    return min(4, os.cpu_count() or 1)
 
 
 def check_parameters(mu: float, trials: int, seed: int) -> None:
@@ -96,18 +112,36 @@ def noise_scale(f: Factorization, mu: float) -> float:
     return sens / mu  # mu = inf gives exactly 0.0
 
 
+def _in_order(fn, tasks, workers: int):
+    """fn(task) for each task, in order, computed on a pool of worker
+    threads with at most workers + 1 tasks submitted and not yet read."""
+    import concurrent.futures
+
+    with concurrent.futures.ThreadPoolExecutor(workers) as pool:
+        window = collections.deque()
+        for task in tasks:
+            window.append(pool.submit(fn, task))
+            if len(window) > workers:
+                yield window.popleft().result()
+        while window:
+            yield window.popleft().result()
+
+
 def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
     """Monte-Carlo estimates of the worst-coordinate and mean errors.
 
     The deviation M(x) - M_count x equals L(sigma z) identically, so it is
     computed noise-only; the estimates are therefore bit-for-bit
     independent of the input, and scaling mu by a power of two rescales
-    them exactly.  Accumulation is a plain sum of per-trial statistics in
-    trial order, so identical configs give bit-identical results.  A mu so
-    small that sigma or the squared deviations overflow raises ValueError.
+    them exactly.  From an inner dimension of POOL_FLOOR up, the deviations
+    are computed a chunk of trials at a time on pool_size() worker threads;
+    below it, on the calling thread.  Either way the caller adds per-trial
+    statistics to plain sums in trial order, so identical configs give
+    bit-identical results at any number of threads.  A mu so small that
+    sigma or the squared deviations overflow raises ValueError.
     """
     f = cfg.factorization
-    n = f.n
+    n, inner_dim = f.n, f.inner_dim
     sigma = noise_scale(f, cfg.mu)
     if not math.isfinite(sigma):
         raise ValueError(f"mu = {cfg.mu} is too small: the noise scale sigma overflows")
@@ -115,15 +149,30 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
     dev_sq_sum = np.zeros(n)
     z_sum = np.zeros(n)
     z_sq_sum = np.zeros(n)
+
+    def deviations(trials: range) -> list:
+        # errstate is per thread, so each worker sets its own; the caller
+        # refuses an overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return [f.left.apply(sigma * _generator(cfg.seed, t).standard_normal(inner_dim))
+                    for t in trials]
+
+    per_task = max(1, _TASK_DRAWS // inner_dim)
+    trials = range(cfg.trials)
+    tasks = (trials[start:start + per_task] for start in trials[::per_task])
+    if inner_dim < POOL_FLOOR:
+        chunks = map(deviations, tasks)
+    else:
+        f.left.spectrum  # built here, so that no two workers build it
+        chunks = _in_order(deviations, tasks, pool_size())
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
-        for trial in range(cfg.trials):
-            z = _generator(cfg.seed, trial).standard_normal(f.inner_dim)
-            dev = f.left.apply(sigma * z)
-            dev_sq_sum += dev * dev
-            if sigma > 0.0:
-                standardized = dev / z_scale
-                z_sum += standardized
-                z_sq_sum += standardized * standardized
+        for devs in chunks:
+            for dev in devs:
+                dev_sq_sum += dev * dev
+                if sigma > 0.0:
+                    standardized = dev / z_scale
+                    z_sum += standardized
+                    z_sq_sum += standardized * standardized
     per_coord_ms = dev_sq_sum / cfg.trials
     if not math.isfinite(total_ms := float(per_coord_ms.sum())):  # each entry is >= 0
         raise ValueError(f"mu = {cfg.mu} is too small: the squared deviations overflow")

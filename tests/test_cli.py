@@ -1,11 +1,14 @@
 """End-to-end tests of the command-line interface (invoked in-process)."""
 
 import argparse
+import concurrent.futures
 import dataclasses
 import hashlib
 import math
 import os
 import re
+import subprocess
+import sys
 import threading
 import types
 from pathlib import Path
@@ -19,6 +22,7 @@ from countfact import factorizations as fz
 from countfact import metrics as mt
 from countfact import sequences
 from countfact.cli import main
+from countfact.mechanism import POOL_FLOOR
 
 
 def run_cli(capsys, *argv):
@@ -407,12 +411,12 @@ class TestSweep:
     def test_rows_do_not_depend_on_the_worker_count(self, capsys, tmp_path, monkeypatch):
         workers = []
 
-        class Recorded(cli.concurrent.futures.ThreadPoolExecutor):
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
             def __init__(self, max_workers):
                 workers.append(max_workers)
                 super().__init__(max_workers)
 
-        monkeypatch.setattr(cli.concurrent.futures, "ThreadPoolExecutor", Recorded)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
         outputs = []
         for cpus in (1, 2, 8, None):
             monkeypatch.setattr(os, "cpu_count", lambda: cpus)
@@ -421,6 +425,15 @@ class TestSweep:
             outputs.append(path.read_bytes())
         assert workers == [1, 2, 4, 1]
         assert outputs[1:] == outputs[:1] * 3
+
+    def test_importing_the_cli_leaves_the_pool_module_unloaded(self):
+        # Only the pools import concurrent.futures, and with it logging.
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys, countfact.cli; "
+                "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert result.stdout == "[]\n"
 
     @pytest.mark.parametrize("metrics", ["maxse,meanse,nuclear_lb,mathias_lb",
                                          "maxse"])
@@ -979,6 +992,20 @@ class TestSimulate:
         # (NaN != NaN), and sigma = 1e200 prints inf errors under CHECK OK.
         code, out, err = run_cli(capsys, "simulate", "--method", method, "--n", "4",
                                  "--trials", "3", "--mu", mu, "--check")
+        assert (code, out) == (2, "")
+        assert err == f"error: mu = {float(mu)!r} is too small: {overflow}\n"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("method", ["group-algebra", "nsr"])
+    @pytest.mark.parametrize("mu, overflow", [("1e-320", "the noise scale sigma overflows"),
+                                              ("1e-305", "the squared deviations overflow"),
+                                              ("1e-200", "the squared deviations overflow")])
+    def test_mu_too_small_exits_2_on_the_pool(self, capsys, monkeypatch, method, mu, overflow):
+        # At n = POOL_FLOOR the trials run on worker threads.  At mu = 1e-305
+        # the apply itself overflows there; at 1e-200 only the squares do.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        code, out, err = run_cli(capsys, "simulate", "--method", method,
+                                 "--n", str(POOL_FLOOR), "--trials", "3", "--mu", mu)
         assert (code, out) == (2, "")
         assert err == f"error: mu = {float(mu)!r} is too small: {overflow}\n"
 

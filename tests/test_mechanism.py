@@ -1,11 +1,17 @@
 """Tests for the seeded Gaussian-mechanism simulator."""
 
+import concurrent.futures
+import functools
 import math
+import os
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from memory import traced_peak
 from numpy.testing import assert_allclose
 
 from countfact import (
@@ -18,7 +24,8 @@ from countfact import (
     nsr_factorization,
 )
 from countfact.factorizations import METHODS, sqrt_factorization
-from countfact.mechanism import _generator, noise_scale
+from countfact import mechanism
+from countfact.mechanism import POOL_FLOOR, _generator, noise_scale
 
 
 def run_mechanism_once(cfg, trial_index):
@@ -215,3 +222,87 @@ class TestStatistics:
             < 0.08 * result.theory_err_inf
         assert abs(result.empirical_err_2 - result.theory_err_2) \
             < 0.05 * result.theory_err_2
+
+
+@functools.cache
+def pool_factorization(method, n):
+    return factorize(method, n)
+
+
+def run_with_cpus(cfg, cpus, floor=POOL_FLOOR):
+    """estimate_errors(cfg) with os.cpu_count() returning cpus and the pool
+    floor at floor, and the max_workers of every pool it started."""
+    workers = []
+
+    class Recorded(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers)
+
+    with mock.patch.object(os, "cpu_count", lambda: cpus), \
+            mock.patch.object(concurrent.futures, "ThreadPoolExecutor", Recorded), \
+            mock.patch.object(mechanism, "POOL_FLOOR", floor):
+        return estimate_errors(cfg), workers
+
+
+def assert_bitwise_equal(result, reference):
+    for field in ("empirical_err_inf", "empirical_err_2", "theory_err_inf", "theory_err_2"):
+        assert getattr(result, field).hex() == getattr(reference, field).hex(), field
+    assert np.array_equal(result.z_mean, reference.z_mean)
+    assert np.array_equal(result.z_var, reference.z_var)
+
+
+# Both sides of the floor: inner_dim is n for sqrt and nsr and 2n for
+# group-algebra, so at n = 4096 only group-algebra runs on the pool.  A
+# task holds 2**15 // inner_dim trials: 8, 4 or 2 here.
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(method=methods, n=st.sampled_from((4096, 8192)), seed=seeds,
+       trials=st.integers(min_value=1, max_value=9))
+@example(method="nsr", n=8192, seed=5, trials=3)  # fewer trials than one task holds
+@example(method="sqrt", n=8192, seed=5, trials=9)  # two full tasks and one partial
+@example(method=GROUP_ALGEBRA, n=4096, seed=5, trials=7)
+@example(method=GROUP_ALGEBRA, n=8192, seed=5, trials=5)
+def test_pooled_results_are_bitwise_serial_property(method, n, seed, trials):
+    f = pool_factorization(method, n)
+    cfg = MechanismConfig(factorization=f, mu=1.0, trials=trials, seed=seed,
+                          input=np.zeros(n))
+    reference, workers = run_with_cpus(cfg, 1, floor=math.inf)
+    assert workers == []
+    pooled = f.inner_dim >= POOL_FLOOR
+    for cpus, size in ((1, 1), (2, 2), (8, 4), (None, 1)):
+        result, workers = run_with_cpus(cfg, cpus)
+        assert workers == ([size] if pooled else [])
+        assert_bitwise_equal(result, reference)
+
+
+def test_pool_is_bitwise_serial_under_frequent_thread_switches():
+    # Four workers on at most two cores, switching threads every
+    # microsecond: a lost or reordered update to a running sum changes bits.
+    f = pool_factorization("nsr", POOL_FLOOR)
+    cfg = MechanismConfig(factorization=f, mu=1.0, trials=24, seed=3,
+                          input=np.zeros(POOL_FLOOR))
+    reference, _ = run_with_cpus(cfg, 1, floor=math.inf)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        result, workers = run_with_cpus(cfg, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert workers == [4]
+    assert_bitwise_equal(result, reference)
+
+
+def test_pool_memory_does_not_grow_with_the_trial_count():
+    # One trial per task at n = 2**15, at most three tasks in flight on two
+    # workers.  How the threads interleave moves the peak by up to a few
+    # n-length arrays; keeping every deviation would add 180 of them.
+    n = 2**15
+    f = pool_factorization("sqrt", n)
+
+    def peak(trials):
+        cfg = MechanismConfig(factorization=f, mu=1.0, trials=trials, seed=0,
+                              input=np.zeros(n))
+        return traced_peak(lambda: run_with_cpus(cfg, 2))
+
+    peak(1)  # the first pool imports concurrent.futures.thread
+    assert peak(200) <= peak(20) + 16 * 8 * n
