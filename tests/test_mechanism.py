@@ -23,8 +23,8 @@ from countfact import (
     meanse,
     nsr_factorization,
 )
-from countfact.factorizations import METHODS, sqrt_factorization
 from countfact import mechanism
+from countfact.factorizations import METHODS, sqrt_factorization
 from countfact.mechanism import POOL_FLOOR, _generator, noise_scale
 
 
