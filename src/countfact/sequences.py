@@ -143,7 +143,7 @@ def wallis_coeffs(n: int) -> np.ndarray:
     return np.multiply.accumulate(r, out=r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientTable:
     """Read-only bundle of all scalar sequences at one matrix size.
 

@@ -132,6 +132,14 @@ class TestCoefficientTable:
         with pytest.raises(ValueError):
             table.r[0] = 2.0
 
+    def test_compares_and_hashes_by_identity(self):
+        # Generated __eq__ and __hash__ would compare the array fields, and
+        # an array comparison has no single truth value.
+        table = coefficient_table(4)
+        assert table == table
+        assert table != coefficient_table(4)
+        assert table in {table}
+
     def test_no_table_outlives_a_sweep(self, monkeypatch):
         # Each table lives as long as the factorization that holds it.
         tables = []
