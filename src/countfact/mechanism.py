@@ -145,14 +145,13 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
     sigma = noise_scale(f, cfg.mu)
     if not math.isfinite(sigma):
         raise ValueError(f"mu = {cfg.mu} is too small: the noise scale sigma overflows")
-    z_scale = sigma * np.sqrt(np.asarray(f.row_norms_sq_left, dtype=np.float64))
+    z_scale = sigma * np.sqrt(f.row_norms_sq_left)
     dev_sq_sum = np.zeros(n)
     z_sum = np.zeros(n)
     z_sq_sum = np.zeros(n)
 
     def deviations(trials: range) -> list:
-        # errstate is per thread, so each worker sets its own; the caller
-        # refuses an overflow.
+        # errstate is per thread, so each worker sets its own.
         with np.errstate(over="ignore", invalid="ignore"):
             return [f.left.apply(sigma * _generator(cfg.seed, t).standard_normal(inner_dim))
                     for t in trials]
@@ -160,28 +159,21 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
     per_task = max(1, _TASK_DRAWS // inner_dim)
     trials = range(cfg.trials)
     tasks = (trials[start:start + per_task] for start in trials[::per_task])
-    if inner_dim < POOL_FLOOR:
-        chunks = map(deviations, tasks)
-    else:
-        f.left.spectrum  # built here, so that no two workers build it
-        chunks = _in_order(deviations, tasks, pool_size())
+    f.left.spectrum  # built here, so that no two workers build it
+    chunks = (map(deviations, tasks) if inner_dim < POOL_FLOOR
+              else _in_order(deviations, tasks, pool_size()))
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
         for devs in chunks:
             for dev in devs:
                 dev_sq_sum += dev * dev
-                if sigma > 0.0:
-                    standardized = dev / z_scale
-                    z_sum += standardized
-                    z_sq_sum += standardized * standardized
+                standardized = dev / z_scale  # sigma = 0: 0/0, so each z is NaN
+                z_sum += standardized
+                z_sq_sum += standardized * standardized
     per_coord_ms = dev_sq_sum / cfg.trials
     if not math.isfinite(total_ms := float(per_coord_ms.sum())):  # each entry is >= 0
         raise ValueError(f"mu = {cfg.mu} is too small: the squared deviations overflow")
-    if sigma > 0.0:
-        z_mean = z_sum / cfg.trials
-        z_var = z_sq_sum / cfg.trials - z_mean * z_mean
-    else:
-        z_mean = np.full(n, np.nan)
-        z_var = np.full(n, np.nan)
+    z_mean = z_sum / cfg.trials
+    z_var = z_sq_sum / cfg.trials - z_mean * z_mean
     return SimulationResult(
         empirical_err_inf=math.sqrt(float(per_coord_ms.max())),
         empirical_err_2=math.sqrt(total_ms / n),

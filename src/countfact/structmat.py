@@ -93,9 +93,10 @@ class LowerTriangularToeplitz(CirculantSlice):
 
 
 def counting_matrix(n: int) -> np.ndarray:
-    """Dense n x n lower-triangular all-ones (prefix-sum) matrix."""
+    """Dense n x n lower-triangular all-ones (prefix-sum) matrix: the n x n
+    block of its 2n-point circulant extension, refused above DENSE_BUDGET."""
     n = check_size(n)
-    return np.tril(np.ones((n, n)))
+    return circulant_block(np.repeat([1.0, 0.0], n), (n, n))
 
 
 def circulant_half_spectrum(n: int) -> np.ndarray:

@@ -98,17 +98,22 @@ class TestDeterminism:
 
 
 class TestNoiseFreeLimit:
+    # From POOL_FLOOR up the deviations come from the pool; a task there
+    # holds 4 trials (2 for group-algebra), so 5 trials make two tasks.
+    @pytest.mark.parametrize("n, trials", [(32, 1), (POOL_FLOOR, 5)])
     @pytest.mark.parametrize("method", ["sqrt", "nsr", GROUP_ALGEBRA])
-    def test_infinite_mu_returns_prefix_sums(self, method):
+    def test_infinite_mu_returns_prefix_sums(self, method, n, trials):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal(32)
-        cfg = make_config(method=method, n=32, mu=math.inf, trials=1, x=x)
+        x = rng.standard_normal(n)
+        cfg = make_config(method=method, n=n, mu=math.inf, trials=trials, x=x)
         out = run_mechanism_once(cfg, 0)
         assert_allclose(out, np.cumsum(x), atol=1e-10)
         result = estimate_errors(cfg)
         assert result.empirical_err_inf == 0.0
+        assert result.empirical_err_2 == 0.0
         assert result.theory_err_inf == 0.0
         assert np.all(np.isnan(result.z_mean))
+        assert np.all(np.isnan(result.z_var))
 
 
 class TestAdditivity:

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from memory import traced_peak
 from numpy.testing import assert_allclose
 from oracles import longdouble_column, mpmath_eigenvalues, mpmath_roots
 
 from countfact.factorizations import factorize, group_algebra_factorization
 from countfact.sequences import coefficient_table, wallis_coeffs
 from countfact.structmat import (
+    DENSE_BUDGET,
     LowerTriangularToeplitz,
     circulant_half_spectrum,
     counting_matrix,
@@ -135,6 +137,25 @@ class TestLowerTriangularToeplitz:
         col[:] = 0.0
         assert not np.shares_memory(a.col, col) and not a.col.flags.writeable
         assert np.array_equal(a.apply(x), expected)
+
+
+class TestCountingMatrix:
+    @pytest.mark.parametrize("n", [*range(1, 65), DENSE_BUDGET])
+    def test_bitwise_equal_to_the_lower_triangle_of_ones(self, n):
+        got = counting_matrix(n)
+        expected = np.tril(np.ones((n, n)))
+        assert got.dtype == np.float64 and got.shape == (n, n)
+        assert got.tobytes() == expected.tobytes()
+
+    def test_refuses_over_budget_before_allocating(self):
+        n = DENSE_BUDGET + 1
+
+        def refused():
+            with pytest.raises(ValueError, match=f"budget n <= {DENSE_BUDGET}"):
+                counting_matrix(n)
+
+        # The 2n-long circulant column only; one n x n array is 134 MB.
+        assert traced_peak(refused) < 16 * 8 * n
 
 
 class TestCirculantExtension:
