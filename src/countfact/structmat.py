@@ -146,4 +146,4 @@ def circulant_block(col: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     if min(rows, cols) > DENSE_BUDGET:
         raise ValueError(f"refusing dense {rows} x {cols} matrix (budget n <= {DENSE_BUDGET})")
     lag = np.arange(rows)[:, None] - np.arange(cols)[None, :]
-    return col[lag % col.size]
+    return col[np.remainder(lag, col.size, out=lag)]

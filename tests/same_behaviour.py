@@ -19,6 +19,7 @@ import io
 import json
 import os
 import platform
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -90,8 +91,6 @@ def platform_key() -> dict:
 
 
 def main() -> None:
-    import tempfile
-
     runs = {}
     for argv in MATRIX:
         with tempfile.TemporaryDirectory() as directory:

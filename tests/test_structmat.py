@@ -147,6 +147,12 @@ class TestCountingMatrix:
         assert got.dtype == np.float64 and got.shape == (n, n)
         assert got.tobytes() == expected.tobytes()
 
+    def test_peak_memory_is_the_matrix_and_its_lag_indices(self):
+        # circulant_block reduces its int64 lag matrix modulo the column
+        # length in place; a temporary remainder would add n x n int64.
+        n = 1024
+        assert traced_peak(lambda: counting_matrix(n)) <= 2 * 8 * n * n + 8 * 8 * n
+
     def test_refuses_over_budget_before_allocating(self):
         n = DENSE_BUDGET + 1
 
