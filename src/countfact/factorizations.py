@@ -98,9 +98,11 @@ class Factorization:
 
 def sqrt_factorization(n: int) -> Factorization:
     """Square-root factorization C @ C: both factors share the coefficient
-    column, so the max row norm and max column norm coincide."""
+    column, so the max row norm and max column norm coincide.  The norms
+    read only d_sq; the column is the table's r, computed when the factor
+    is first applied or made dense."""
     table = coefficient_table(n)
-    factor = LowerTriangularToeplitz(table.r)
+    factor = LowerTriangularToeplitz(lambda: table.r, n)
     return Factorization(
         method=SQRT,
         n=n,

@@ -126,6 +126,31 @@ def _group_algebra_norm_sq(n: int) -> float:
     return 0.5 + _odd_cosecant_sum(n) / (2 * n)
 
 
+def _wallis_blocks(n: int):
+    """r_0..r_{n-1} (see wallis_coeffs) in consecutive _SUM_BLOCK blocks
+    aligned at index 0, each written over the last in one work array, so a
+    consumer may overwrite a block it has read.
+
+    Each block holds the quotients (2k - 1) / (2k), its first one times the
+    last product of the block before, and is then one running product: the
+    multiplications of one whole-array running product, in its order.
+    """
+    size = min(n, _SUM_BLOCK)
+    odd = np.arange(-1.0, 2.0 * size - 2.0, 2.0)  # 2k - 1 at index k of the block
+    work = np.empty(size)
+    last = 1.0
+    for start in range(0, n, _SUM_BLOCK):
+        r = work[:min(_SUM_BLOCK, n - start)]
+        skip = 1 if start == 0 else 0  # no quotient at k = 0: r_0 = 1
+        np.add(odd[skip:r.size], 1.0, out=r[skip:])
+        np.divide(odd[skip:r.size], r[skip:], out=r[skip:])
+        r[0] = last * r[0] if start else 1.0
+        np.multiply.accumulate(r, out=r)
+        last = r[-1]
+        yield r
+        odd += 2.0 * _SUM_BLOCK
+
+
 def wallis_coeffs(n: int) -> np.ndarray:
     """First n Taylor coefficients of (1 - x)^(-1/2).
 
@@ -136,11 +161,10 @@ def wallis_coeffs(n: int) -> np.ndarray:
         1 / (pi (k + 4/pi - 1)) <= r_k^2 <= 1 / (pi (k + 1/4)),  k >= 1.
     """
     n = check_size(n)
-    r = np.arange(-1.0, 2.0 * n - 2.0, 2.0)  # 2k - 1 at index k
-    for block in _blocks(r[1:]):
-        np.divide(block, block + 1.0, out=block)
-    r[0] = 1.0
-    return np.multiply.accumulate(r, out=r)
+    r = np.empty(n)
+    for out, block in zip(_blocks(r), _wallis_blocks(n)):
+        out[:] = block
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,13 +190,18 @@ class CoefficientTable:
         alpha_m = sum_{j<m} r_j^2 - log(m)/pi at index m - 1; strictly
         increasing within [1, 1.0663].
 
-    rtilde and alpha are computed on first read; the square-root
-    factorization needs neither.
+    r, rtilde and alpha are computed on first read; the square-root
+    factorization's norms need none of them.
     """
 
     n: int
-    r: np.ndarray
     d_sq: np.ndarray
+
+    @functools.cached_property
+    def r(self) -> np.ndarray:
+        r = wallis_coeffs(self.n)
+        r.setflags(write=False)
+        return r
 
     @functools.cached_property
     def rtilde(self) -> np.ndarray:
@@ -195,17 +224,18 @@ class CoefficientTable:
 def coefficient_table(n: int) -> CoefficientTable:
     """Build the coefficient table at size n, in O(n).
 
-    Every call builds a new table, 16n bytes (32n once rtilde and alpha
-    are read), which lives as long as its caller holds it: a factorization
-    keeps the arrays its operators and profiles read, and nothing else
-    does.  The table is immutable and safe to share across threads.
+    Every call builds a new table, 8n bytes (16n once r is read, 32n once
+    rtilde and alpha are too), which lives as long as its caller holds it:
+    a factorization keeps the arrays its operators and profiles read, and
+    nothing else does.  The squared coefficients are summed as the product
+    streams past, one block at a time, so only d_sq is n long.  The table
+    is immutable and safe to share across threads.
     """
-    r = wallis_coeffs(n)
+    n = check_size(n)
     d_sq = np.empty(n)
-    _compensated_sum((block * block for block in _blocks(r)), out=d_sq[::-1])
-    for arr in (r, d_sq):
-        arr.setflags(write=False)
-    return CoefficientTable(n=n, r=r, d_sq=d_sq)
+    _compensated_sum((np.multiply(r, r, out=r) for r in _wallis_blocks(n)), out=d_sq[::-1])
+    d_sq.setflags(write=False)
+    return CoefficientTable(n=n, d_sq=d_sq)
 
 
 @dataclass(frozen=True)

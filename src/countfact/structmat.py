@@ -33,7 +33,7 @@ class CirculantSlice:
     shape[0] entries.  ``half_spectrum`` computes that spectrum and runs on
     the first product, so an operator that is never applied (as in every
     sweep) never pays for it.  The column is computed from the spectrum, by
-    one irfft, when a dense view first reads it, unless a subclass stored
+    one irfft, when a dense view first reads it, unless a subclass provides
     its own.
     """
 
@@ -78,18 +78,33 @@ class LowerTriangularToeplitz(CirculantSlice):
     block of the circulant of col zero-padded to fft_length(n).  The product
     of two such matrices is again lower-triangular Toeplitz, with first
     column the truncated convolution of the factors' columns.
+
+    Given n, ``col`` is instead a function of no arguments that returns the
+    read-only float64 column of length n, called on the first apply,
+    to_dense or col read.
     """
 
-    def __init__(self, col):
-        col = np.asarray(col, dtype=np.float64)
-        if col.flags.writeable:  # a read-only float64 column is shared
-            col = col.copy()
-        if col.ndim != 1 or col.size == 0:
-            raise ValueError("first column must be a nonempty 1-D array")
-        col.setflags(write=False)
-        size = fft_length(col.size)
-        super().__init__((col.size, col.size), size, functools.partial(np.fft.rfft, col, size))
-        self.col = col
+    def __init__(self, col, n: int | None = None):
+        if n is None:
+            col = np.asarray(col, dtype=np.float64)
+            if col.flags.writeable:  # a read-only float64 column is shared
+                col = col.copy()
+            if col.ndim != 1 or col.size == 0:
+                raise ValueError("first column must be a nonempty 1-D array")
+            col.setflags(write=False)
+            self.col = col
+            n = col.size
+        else:
+            self._column = col
+        super().__init__((n, n), fft_length(n), None)
+
+    @functools.cached_property
+    def col(self) -> np.ndarray:
+        return self._column()
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        return np.fft.rfft(self.col, self.fft_size)
 
 
 def counting_matrix(n: int) -> np.ndarray:
@@ -141,9 +156,15 @@ def circulant_block(col: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     A lower-triangular Toeplitz matrix is the n x n block of the circulant
     of its column padded with at least n - 1 zeros.  A block whose smaller
     side exceeds DENSE_BUDGET is refused before it is allocated.
+
+    Row j is the window of the reversed column, repeated twice, that starts
+    at (-1 - j) mod col.size, so the block is copied row by row from a view
+    of those windows, with one index per row.
     """
     rows, cols = shape
     if min(rows, cols) > DENSE_BUDGET:
         raise ValueError(f"refusing dense {rows} x {cols} matrix (budget n <= {DENSE_BUDGET})")
-    lag = np.arange(rows)[:, None] - np.arange(cols)[None, :]
-    return col[np.remainder(lag, col.size, out=lag)]
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(col[::-1], 2), cols)
+    starts = np.arange(-1, -1 - rows, -1)
+    starts %= col.size
+    return windows[starts]

@@ -1,8 +1,10 @@
 """Tests for the three factorizations, checked against dense linear algebra
 and high-precision direct evaluation of their defining formulas."""
 
+import gc
 import math
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import mpmath as mp
@@ -33,9 +35,10 @@ from countfact.factorizations import (
     sqrt_factorization,
 )
 from countfact.metrics import error_report, maxse
-from countfact.sequences import _odd_cosecant_sum
+from countfact.sequences import _odd_cosecant_sum, wallis_coeffs
 from countfact.structmat import (
     DENSE_BUDGET,
+    LowerTriangularToeplitz,
     circulant_block,
     circulant_half_spectrum,
 )
@@ -147,6 +150,30 @@ class TestSqrtFactorization:
     def test_left_is_right(self):
         f = sqrt_factorization(16)
         assert f.left is f.right
+
+    @pytest.mark.parametrize("n", KERNEL_SIZES)
+    def test_factor_is_the_wallis_operator(self, n):
+        # The factor reads its column on first use; it is the operator of
+        # wallis_coeffs(n) bit for bit, and of the same class, by whose name
+        # applies are reported.
+        factor = sqrt_factorization(n).left
+        assert type(factor) is LowerTriangularToeplitz and "col" not in vars(factor)
+        expected = LowerTriangularToeplitz(wallis_coeffs(n))
+        x = np.random.default_rng(n).standard_normal(n)
+        assert factor.apply(x).tobytes() == expected.apply(x).tobytes()
+        if n <= DENSE_BUDGET:
+            assert factor.to_dense().tobytes() == expected.to_dense().tobytes()
+
+    def test_factor_is_freed_without_the_cycle_collector(self):
+        f = sqrt_factorization(64)
+        f.left.apply(np.ones(64))
+        factor = weakref.ref(f.left)
+        gc.disable()
+        try:
+            del f
+            assert factor() is None
+        finally:
+            gc.enable()
 
     def test_norm_profiles_match_dense(self):
         f = sqrt_factorization(64)
@@ -287,6 +314,7 @@ class TestNsrFactorization:
         # with the table handed in already built.
         n = 2**16
         table = coefficient_table(n)
+        table.r  # computed on first read, here outside the measured call
         monkeypatch.setattr("countfact.factorizations.coefficient_table", lambda n: table)
         assert traced_peak(lambda: nsr_row_norms_sq(n)) <= 7.5 * 8 * n
 

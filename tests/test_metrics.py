@@ -126,11 +126,11 @@ class TestPredictedResiduals:
 
 class TestErrorReport:
     def test_sqrt_report_adds_nothing_n_long_to_the_table(self, monkeypatch):
-        # The peak is the coefficient table's two arrays and the compensated
-        # sum's blocks; handed a built table, the factors share its column
-        # and the row profile is a view of its d_sq.
+        # The peak is the coefficient table's d_sq and the blocks of the
+        # streamed product and its compensated sum; the factors never read
+        # r.  Handed a built table, the row profile is a view of its d_sq.
         n = 2**16
-        assert traced_peak(lambda: error_report(SQRT, n)) <= 2 * 8 * n + BLOCK_WORKSPACE
+        assert traced_peak(lambda: error_report(SQRT, n)) <= 8 * n + BLOCK_WORKSPACE
         table = coefficient_table(n)
         monkeypatch.setattr("countfact.factorizations.coefficient_table", lambda n: table)
         assert traced_peak(lambda: error_report(SQRT, n)) <= 4096

@@ -161,6 +161,7 @@ class TestCoefficientTable:
         monkeypatch.setattr("countfact.factorizations.coefficient_table", lambda n: table)
         error_report("sqrt", 64)
         error_report("group-algebra", 64)
+        assert "r" not in vars(table)
         assert "rtilde" not in vars(table) and "alpha" not in vars(table)
         m = np.arange(1, 65, dtype=np.float64)
         expected = compensated_cumsum(table.r * table.r) - np.log(m) / math.pi
@@ -170,15 +171,17 @@ class TestCoefficientTable:
             with pytest.raises(ValueError):
                 arr[0] = 2.0
 
-    def test_peak_memory_is_the_two_outputs_and_a_few_blocks(self):
+    def test_peak_memory_is_d_sq_and_a_few_blocks(self):
+        # The product streams one block at a time into the sum of squares.
         n = 2**16
-        assert traced_peak(lambda: coefficient_table(n)) <= 2 * 8 * n + BLOCK_WORKSPACE
+        assert traced_peak(lambda: coefficient_table(n)) <= 8 * n + BLOCK_WORKSPACE
 
     @pytest.mark.parametrize("field", ["rtilde", "alpha"])
     def test_lazy_field_peak_memory_is_its_output(self, field):
         # Each is filled in place; a temporary would add n floats.
         n = 2**16
         table = coefficient_table(n)
+        table.r  # computed on first read, here outside the measured call
         assert traced_peak(lambda: getattr(table, field)) <= 8 * n + 4096
 
     def test_consistent_with_operations(self):
@@ -240,6 +243,33 @@ mixed_floats = st.lists(
               st.integers(-40, 40)),
     min_size=1, max_size=80,
 )
+
+
+def whole_array_table(n):
+    """r and d_sq as one whole-array running product computes them, the
+    oracle of the streamed product: the same multiplications in the same
+    order."""
+    r = np.arange(-1.0, 2.0 * n - 2.0, 2.0)  # 2k - 1 at index k
+    for block in _blocks(r[1:]):
+        np.divide(block, block + 1.0, out=block)
+    r[0] = 1.0
+    np.multiply.accumulate(r, out=r)
+    d_sq = np.empty(n)
+    _compensated_sum((block * block for block in _blocks(r)), out=d_sq[::-1])
+    return r, d_sq
+
+
+class TestStreamedProduct:
+    @pytest.mark.parametrize("n", [1, 2, 3, _SUM_BLOCK - 1, _SUM_BLOCK, _SUM_BLOCK + 1,
+                                   2 * _SUM_BLOCK + 5, 2**20 + 3])
+    @pytest.mark.filterwarnings("error")
+    def test_byte_equal_to_the_whole_array_product(self, n):
+        # Also no warning: the block at index 0 forms no quotient at k = 0,
+        # where (2k - 1) / 2k would be -1 / 0.
+        r, d_sq = whole_array_table(n)
+        table = coefficient_table(n)
+        assert table.d_sq.tobytes() == d_sq.tobytes()
+        assert table.r.tobytes() == wallis_coeffs(n).tobytes() == r.tobytes()
 
 
 class TestCompensatedCumsum:

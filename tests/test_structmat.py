@@ -19,6 +19,7 @@ from countfact.sequences import coefficient_table, wallis_coeffs
 from countfact.structmat import (
     DENSE_BUDGET,
     LowerTriangularToeplitz,
+    circulant_block,
     circulant_half_spectrum,
     counting_matrix,
 )
@@ -139,6 +140,36 @@ class TestLowerTriangularToeplitz:
         assert np.array_equal(a.apply(x), expected)
 
 
+class TestLazyColumn:
+    def test_column_computed_on_first_read_and_kept(self):
+        col = np.arange(1.0, 6.0)
+        col.setflags(write=False)
+        calls = []
+
+        def column():
+            calls.append(1)
+            return col
+
+        a = LowerTriangularToeplitz(column, 5)
+        assert a.shape == (5, 5) and a.fft_size == 16 and not calls
+        x = np.random.default_rng(2).standard_normal(5)
+        assert np.array_equal(a.apply(x), LowerTriangularToeplitz(col).apply(x))
+        assert np.array_equal(a.to_dense(), np.tril(circulant(col)))
+        assert len(calls) == 1 and a.col is col
+
+
+class TestCirculantBlock:
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
+    def test_every_shape_is_the_entrywise_definition(self, m):
+        col = np.random.default_rng(m).standard_normal(m)
+        full = np.vstack([circulant(col)] * 3)
+        for rows in range(1, 2 * m + 2):
+            for cols in range(1, m + 1):
+                block = circulant_block(col, (rows, cols))
+                assert block.flags.c_contiguous
+                assert block.tobytes() == full[:rows, :cols].tobytes(), (rows, cols)
+
+
 class TestCountingMatrix:
     @pytest.mark.parametrize("n", [*range(1, 65), DENSE_BUDGET])
     def test_bitwise_equal_to_the_lower_triangle_of_ones(self, n):
@@ -147,11 +178,13 @@ class TestCountingMatrix:
         assert got.dtype == np.float64 and got.shape == (n, n)
         assert got.tobytes() == expected.tobytes()
 
-    def test_peak_memory_is_the_matrix_and_its_lag_indices(self):
-        # circulant_block reduces its int64 lag matrix modulo the column
-        # length in place; a temporary remainder would add n x n int64.
+    def test_peak_memory_is_the_matrix_and_a_few_columns(self):
+        # circulant_block copies each row from a window view with one index
+        # per row: seven n-length arrays (the 2n-long column, its reversal
+        # repeated twice, the row index) and numpy's fixed overhead beside
+        # the matrix.  An n x n index, as a gather would take, is 8 n^2.
         n = 1024
-        assert traced_peak(lambda: counting_matrix(n)) <= 2 * 8 * n * n + 8 * 8 * n
+        assert traced_peak(lambda: counting_matrix(n)) <= 8 * n * n + 7 * 8 * n + 8192
 
     def test_refuses_over_budget_before_allocating(self):
         n = DENSE_BUDGET + 1
