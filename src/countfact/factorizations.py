@@ -8,16 +8,17 @@
   the 2n x 2n circulant extension of the counting matrix, taken in the
   eigenvalue domain.
 
-Every constructor also computes the norm profiles the error metrics read
-(row norms of the left factor, column norms of the right factor, Frobenius
-norm of the left factor), read-only, without materializing anything dense.
-The group-algebra profiles are one float, the odd cosecant sum, and its
-operators build their spectrum only when first applied.
+Every constructor computes the norm profiles the error metrics read (row
+norms of the left factor, column norms of the right factor, Frobenius norm
+of the left factor), read-only, without materializing anything dense; the
+group-algebra ones are one float.  The operators are built on the first
+read of a factor, which no report or sweep makes.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,31 +84,35 @@ class Factorization:
     ``inner_dim`` is n for sqrt/nsr and 2n for group-algebra.  The norm
     profiles are the only ones kept: the error metrics and the simulator
     read them, and the operators offer only apply and to_dense.  They agree
-    with direct recomputation from the dense factors.
+    with direct recomputation from the dense factors.  ``operators()``
+    returns (left, right), called once, on the first read of either.
     """
 
     method: str
     n: int
-    left: object
-    right: object
+    operators: Callable[[], tuple[CirculantSlice, CirculantSlice]]
     inner_dim: int
     row_norms_sq_left: np.ndarray
     col_norms_sq_right: np.ndarray
     frobenius_sq_left: float
 
+    @functools.cached_property
+    def _pair(self) -> tuple[CirculantSlice, CirculantSlice]:
+        return self.operators()
+
+    left = property(lambda self: self._pair[0])
+    right = property(lambda self: self._pair[1])
+
 
 def sqrt_factorization(n: int) -> Factorization:
-    """Square-root factorization C @ C: both factors share the coefficient
-    column, so the max row norm and max column norm coincide.  The norms
-    read only d_sq; the column is the table's r, computed when the factor
-    is first applied or made dense."""
+    """Square-root factorization C @ C: both factors are one operator, so
+    the max row norm and max column norm coincide.  The norms read only
+    d_sq; the operator's column is the table's r, computed on first read."""
     table = coefficient_table(n)
-    factor = LowerTriangularToeplitz(lambda: table.r, n)
     return Factorization(
         method=SQRT,
         n=n,
-        left=factor,
-        right=factor,
+        operators=lambda: (LowerTriangularToeplitz(table.r),) * 2,
         inner_dim=n,
         row_norms_sq_left=table.d_sq[::-1],  # row j: the first j+1 coefficients
         col_norms_sq_right=table.d_sq,
@@ -181,17 +186,21 @@ def nsr_row_norms_sq(n: int) -> np.ndarray:
     return row_sq
 
 
-def nsr_factorization(n: int) -> Factorization:
-    """Normalized square root: right factor C D^{-1} has unit columns, left
-    factor M D C^{-1} carries all the norm growth."""
-    row_sq = nsr_row_norms_sq(n)  # first: no operator array shares its peak
+def _nsr_operators(n: int) -> tuple[NsrLeft, ColumnScaled]:
     table = coefficient_table(n)
     d = np.sqrt(table.d_sq)
+    return NsrLeft(table.rtilde, d), ColumnScaled(table.r, d)
+
+
+def nsr_factorization(n: int) -> Factorization:
+    """Normalized square root: right factor C D^{-1} has unit columns, left
+    factor M D C^{-1} carries all the norm growth.  Only the row-norm
+    profile is kept: the operators build their own coefficient table."""
+    row_sq = nsr_row_norms_sq(n)
     return Factorization(
         method=NSR,
         n=n,
-        left=NsrLeft(table.rtilde, d),
-        right=ColumnScaled(table.r, d),
+        operators=functools.partial(_nsr_operators, n),
         inner_dim=n,
         row_norms_sq_left=row_sq,
         col_norms_sq_right=np.broadcast_to(1.0, n),
@@ -208,9 +217,8 @@ def group_algebra_factorization(n: int) -> Factorization:
     the left factor and all columns of the right factor share one squared
     norm.  By Parseval it is (1/2n) sum_k |lambda_k| over the 2n
     eigenvalues: 1/2 + (1/2n) sum_{l=1..n} csc(pi (2l - 1) / (2n)), read
-    from the memoized odd cosecant sum.  The half spectrum is computed only
-    when a factor is first applied or made dense, so the norms never build
-    it.
+    from the memoized odd cosecant sum.  Each slice computes the half
+    spectrum on its first apply or dense view, so the norms never build it.
     """
     full = _group_algebra_norm_sq(n)
     norms = np.broadcast_to(full, n)  # read-only, one float for every entry
@@ -218,8 +226,8 @@ def group_algebra_factorization(n: int) -> Factorization:
     return Factorization(
         method=GROUP_ALGEBRA,
         n=n,
-        left=CirculantSlice((n, 2 * n), 2 * n, spectrum),
-        right=CirculantSlice((2 * n, n), 2 * n, spectrum),
+        operators=lambda: (CirculantSlice((n, 2 * n), 2 * n, spectrum),
+                           CirculantSlice((2 * n, n), 2 * n, spectrum)),
         inner_dim=2 * n,
         row_norms_sq_left=norms,
         col_norms_sq_right=norms,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .factorizations import GROUP_ALGEBRA, NSR, SQRT, Factorization, factorize
-from .sequences import CONSTANTS, _group_algebra_norm_sq, check_size, coefficient_table
+from .sequences import CONSTANTS, _group_algebra_norm_sq, check_size, wallis_coeffs
 
 MAXSE = "maxse"
 MEANSE = "meanse"
@@ -35,8 +35,7 @@ def meanse(f: Factorization) -> float:
 
 def closed_form_maxse_sqrt(n: int) -> float:
     """MaxSE of the square-root factorization: sum_{j<n} r_j^2 exactly."""
-    table = coefficient_table(n)
-    return math.fsum(table.r * table.r)
+    return math.fsum(wallis_coeffs(n) ** 2)
 
 
 def landau_alpha(n: int) -> float:

@@ -226,10 +226,10 @@ def coefficient_table(n: int) -> CoefficientTable:
 
     Every call builds a new table, 8n bytes (16n once r is read, 32n once
     rtilde and alpha are too), which lives as long as its caller holds it:
-    a factorization keeps the arrays its operators and profiles read, and
-    nothing else does.  The squared coefficients are summed as the product
-    streams past, one block at a time, so only d_sq is n long.  The table
-    is immutable and safe to share across threads.
+    a factorization keeps the arrays its profiles read, and its operators,
+    once a factor is read, the arrays they read.  The squared coefficients
+    are summed as the product streams past, one block at a time, so only
+    d_sq is n long.  The table is immutable and safe to share across threads.
     """
     n = check_size(n)
     d_sq = np.empty(n)
@@ -246,7 +246,6 @@ class NamedConstants:
     constants the residuals converge to.
     """
 
-    euler_gamma: float = EULER_GAMMA
     alpha_infinity: float = (EULER_GAMMA + math.log(16.0)) / math.pi  # limit of alpha_n
     # = alpha_infinity - log(2)/pi
     nsr_maxse_const: float = (EULER_GAMMA + math.log(8.0)) / math.pi

@@ -31,10 +31,9 @@ class CirculantSlice:
     ``apply`` is one circular convolution of the zero-padded input with col,
     by an rfft/irfft pair through the column's half spectrum, cut to
     shape[0] entries.  ``half_spectrum`` computes that spectrum and runs on
-    the first product, so an operator that is never applied (as in every
-    sweep) never pays for it.  The column is computed from the spectrum, by
-    one irfft, when a dense view first reads it, unless a subclass provides
-    its own.
+    the first product, so an operator that is never applied never pays for
+    it.  The column is computed from the spectrum, by one irfft, when a
+    dense view first reads it, unless a subclass provides its own.
     """
 
     def __init__(self, shape: tuple[int, int], fft_size: int, half_spectrum):
@@ -75,36 +74,22 @@ class LowerTriangularToeplitz(CirculantSlice):
     """n x n lower-triangular Toeplitz matrix stored by its first column.
 
     Entry (j, k) equals col[j - k] for j >= k and 0 otherwise: the n x n
-    block of the circulant of col zero-padded to fft_length(n).  The product
-    of two such matrices is again lower-triangular Toeplitz, with first
-    column the truncated convolution of the factors' columns.
-
-    Given n, ``col`` is instead a function of no arguments that returns the
-    read-only float64 column of length n, called on the first apply,
-    to_dense or col read.
+    block of the circulant of col zero-padded to fft_length(n), whose half
+    spectrum is the rfft of that padded column.  The product of two such
+    matrices is again lower-triangular Toeplitz, with first column the
+    truncated convolution of the factors' columns.
     """
 
-    def __init__(self, col, n: int | None = None):
-        if n is None:
-            col = np.asarray(col, dtype=np.float64)
-            if col.flags.writeable:  # a read-only float64 column is shared
-                col = col.copy()
-            if col.ndim != 1 or col.size == 0:
-                raise ValueError("first column must be a nonempty 1-D array")
-            col.setflags(write=False)
-            self.col = col
-            n = col.size
-        else:
-            self._column = col
-        super().__init__((n, n), fft_length(n), None)
-
-    @functools.cached_property
-    def col(self) -> np.ndarray:
-        return self._column()
-
-    @functools.cached_property
-    def spectrum(self) -> np.ndarray:
-        return np.fft.rfft(self.col, self.fft_size)
+    def __init__(self, col):
+        col = np.asarray(col, dtype=np.float64)
+        if col.flags.writeable:  # a read-only float64 column is shared
+            col = col.copy()
+        if col.ndim != 1 or col.size == 0:
+            raise ValueError("first column must be a nonempty 1-D array")
+        col.setflags(write=False)
+        size = fft_length(col.size)
+        super().__init__((col.size, col.size), size, functools.partial(np.fft.rfft, col, size))
+        self.col = col
 
 
 def counting_matrix(n: int) -> np.ndarray:

@@ -160,8 +160,8 @@ class TestFactorize:
         def perturbed(method, n):
             f = original(method, n)
             d = f.right.scale * (1.0 + 1e-6)
-            return dataclasses.replace(f, left=fz.NsrLeft(f.left.col, d),
-                                       right=fz.ColumnScaled(f.right.col, d))
+            return dataclasses.replace(f, operators=lambda: (fz.NsrLeft(f.left.col, d),
+                                                             fz.ColumnScaled(f.right.col, d)))
 
         monkeypatch.setattr(fz, "factorize", perturbed)
         code, _, err = run_cli(capsys, "factorize", "--method", "nsr", "--n", "64",

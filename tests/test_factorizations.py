@@ -1,6 +1,7 @@
 """Tests for the three factorizations, checked against dense linear algebra
 and high-precision direct evaluation of their defining formulas."""
 
+import dataclasses
 import gc
 import math
 import tracemalloc
@@ -38,6 +39,7 @@ from countfact.metrics import error_report, maxse
 from countfact.sequences import _odd_cosecant_sum, wallis_coeffs
 from countfact.structmat import (
     DENSE_BUDGET,
+    CirculantSlice,
     LowerTriangularToeplitz,
     circulant_block,
     circulant_half_spectrum,
@@ -153,27 +155,18 @@ class TestSqrtFactorization:
 
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_factor_is_the_wallis_operator(self, n):
-        # The factor reads its column on first use; it is the operator of
-        # wallis_coeffs(n) bit for bit, and of the same class, by whose name
-        # applies are reported.
-        factor = sqrt_factorization(n).left
-        assert type(factor) is LowerTriangularToeplitz and "col" not in vars(factor)
+        # The factor is built on the first read of either factor; it is the
+        # operator of wallis_coeffs(n) bit for bit, and of the same class, by
+        # whose name applies are reported.
+        f = sqrt_factorization(n)
+        assert "_pair" not in vars(f)
+        factor = f.left
+        assert type(factor) is LowerTriangularToeplitz
         expected = LowerTriangularToeplitz(wallis_coeffs(n))
         x = np.random.default_rng(n).standard_normal(n)
         assert factor.apply(x).tobytes() == expected.apply(x).tobytes()
         if n <= DENSE_BUDGET:
             assert factor.to_dense().tobytes() == expected.to_dense().tobytes()
-
-    def test_factor_is_freed_without_the_cycle_collector(self):
-        f = sqrt_factorization(64)
-        f.left.apply(np.ones(64))
-        factor = weakref.ref(f.left)
-        gc.disable()
-        try:
-            del f
-            assert factor() is None
-        finally:
-            gc.enable()
 
     def test_norm_profiles_match_dense(self):
         f = sqrt_factorization(64)
@@ -318,6 +311,19 @@ class TestNsrFactorization:
         monkeypatch.setattr("countfact.factorizations.coefficient_table", lambda n: table)
         assert traced_peak(lambda: nsr_row_norms_sq(n)) <= 7.5 * 8 * n
 
+    def test_factorization_holds_only_the_row_profile(self):
+        # The operators, and the table they read, are built on first read.
+        n = 2**16
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            f = nsr_factorization(n)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert f.row_norms_sq_left.nbytes == 8 * n
+        assert held <= 8 * n + 4096
+
     def test_cold_report_working_set(self):
         # The table's r and d_sq, then the profile before any operator array.
         n = 2**16
@@ -401,6 +407,47 @@ class TestGroupAlgebraFactorization:
         peaks = [traced_peak(lambda: group_algebra_factorization(n)) for _ in ("cold", "warm")]
         assert peaks[0] <= BLOCK_WORKSPACE
         assert peaks[1] <= 4096
+
+
+class TestOperatorConstruction:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_built_once_by_one_call_on_first_read(self, method, monkeypatch):
+        # One call of the factorization's function builds both operators,
+        # one shared object for sqrt; later reads return the same ones.
+        built = []
+        init = CirculantSlice.__init__
+
+        def counted(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(CirculantSlice, "__init__", counted)
+        f = factorize(method, 16)
+        calls = []
+
+        def operators():
+            calls.append(1)
+            return f.operators()
+
+        g = dataclasses.replace(f, operators=operators)
+        assert not built and not calls
+        left = g.left
+        assert calls == [1] and built == ([left] if method == SQRT else [left, g.right])
+        assert g.left is left and g.right is built[-1] and calls == [1]
+        assert (g.left is g.right) == (method == SQRT)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_factor_is_freed_without_the_cycle_collector(self, method):
+        f = factorize(method, 64)
+        f.left.apply(np.ones(f.inner_dim))
+        f.right.apply(np.ones(f.n))
+        factors = [weakref.ref(f), weakref.ref(f.left), weakref.ref(f.right)]
+        gc.disable()
+        try:
+            del f
+            assert all(ref() is None for ref in factors)
+        finally:
+            gc.enable()
 
 
 class TestOperatorSpectrum:

@@ -24,9 +24,15 @@ from countfact import (
     residual_offset,
 )
 from countfact import metrics
-from countfact.cli import main
-from countfact.factorizations import sqrt_factorization
+from countfact.cli import BOUND_METRICS, main, sweep_rows
+from countfact.factorizations import METHODS, sqrt_factorization
 from countfact.metrics import MAXSE, MEANSE, predicted_residual
+from countfact.sequences import CoefficientTable
+from countfact.structmat import CirculantSlice
+
+
+def refuse(self, *args, **kwargs):
+    raise AssertionError(f"{type(self).__name__} built")
 
 
 class TestMaxseMeanse:
@@ -73,6 +79,14 @@ class TestMaxseMeanse:
 
 
 class TestClosedForms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64, 1000, 2**15 - 1, 2**15, 2**15 + 1,
+                                   2**17 + 3])
+    def test_sqrt_closed_form_builds_no_table(self, n, monkeypatch):
+        # The compensated sum of the table's r squared, bit for bit.
+        expected = math.fsum(coefficient_table(n).r ** 2)
+        monkeypatch.setattr(CoefficientTable, "__init__", refuse)
+        assert closed_form_maxse_sqrt(n) == expected
+
     @pytest.mark.parametrize("n", list(range(1, 65)) + [256, 1024])
     def test_sqrt_direct_equals_closed_form(self, n):
         direct = maxse(sqrt_factorization(n))
@@ -141,6 +155,27 @@ class TestErrorReport:
         # the odd cosecant sum's memo keeps one float per size.
         error_report(method, 64)  # first-call allocations of numpy and the memo
         assert traced_growth(lambda: error_report(method, 2**16)) <= 4096
+
+    @pytest.mark.parametrize("method", [SQRT, NSR, GROUP_ALGEBRA])
+    def test_report_builds_no_operator(self, method, monkeypatch):
+        monkeypatch.setattr(CirculantSlice, "__init__", refuse)
+        error_report(method, 64)
+
+    def test_sweep_builds_no_operator(self, monkeypatch):
+        monkeypatch.setattr(CirculantSlice, "__init__", refuse)
+        rows = sweep_rows(METHODS, (MAXSE, MEANSE, *BOUND_METRICS), [1, 2, 64])
+        assert len(rows) == 3 * (2 * len(METHODS) + len(BOUND_METRICS))
+
+    def test_nsr_report_builds_one_table(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return coefficient_table(n)
+
+        monkeypatch.setattr("countfact.factorizations.coefficient_table", counted)
+        error_report(NSR, 64)
+        assert calls == [64]
 
     def test_residual_definition(self):
         report = error_report(NSR, 16)

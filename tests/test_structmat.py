@@ -140,24 +140,6 @@ class TestLowerTriangularToeplitz:
         assert np.array_equal(a.apply(x), expected)
 
 
-class TestLazyColumn:
-    def test_column_computed_on_first_read_and_kept(self):
-        col = np.arange(1.0, 6.0)
-        col.setflags(write=False)
-        calls = []
-
-        def column():
-            calls.append(1)
-            return col
-
-        a = LowerTriangularToeplitz(column, 5)
-        assert a.shape == (5, 5) and a.fft_size == 16 and not calls
-        x = np.random.default_rng(2).standard_normal(5)
-        assert np.array_equal(a.apply(x), LowerTriangularToeplitz(col).apply(x))
-        assert np.array_equal(a.to_dense(), np.tril(circulant(col)))
-        assert len(calls) == 1 and a.col is col
-
-
 class TestCirculantBlock:
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 17])
     def test_every_shape_is_the_entrywise_definition(self, m):
