@@ -155,7 +155,7 @@ class TestSqrtFactorization:
 
     @pytest.mark.parametrize("n", KERNEL_SIZES)
     def test_factor_is_the_wallis_operator(self, n):
-        # The factor is built on the first read of either factor; it is the
+        # The operator is built on the first read of a factor; it is the
         # operator of wallis_coeffs(n) bit for bit, and of the same class, by
         # whose name applies are reported.
         f = sqrt_factorization(n)
