@@ -289,8 +289,8 @@ def cmd_factorize(args) -> list[str] | None:
         ("method", f.method),
         ("n", f.n),
         ("inner_dim", f.inner_dim),
-        ("max_row_norm_left", math.sqrt(float(np.max(f.row_norms_sq_left)))),
-        ("max_col_norm_right", math.sqrt(float(np.max(f.col_norms_sq_right)))),
+        ("max_row_norm_left", math.sqrt(f.max_row_sq_left)),
+        ("max_col_norm_right", math.sqrt(f.max_col_sq_right)),
         ("frobenius_left", math.sqrt(f.frobenius_sq_left)),
         ("maxse", mt.maxse(f)),
         ("meanse", mt.meanse(f)),

@@ -8,11 +8,14 @@
   the 2n x 2n circulant extension of the counting matrix, taken in the
   eigenvalue domain.
 
-Every constructor computes the norm profiles the error metrics read (row
-norms of the left factor, column norms of the right factor, Frobenius norm
-of the left factor), read-only, without materializing anything dense; the
-group-algebra ones are one float.  The operators are built on the first
-read of a factor, which no report or sweep makes.
+Every constructor computes the three scalars the error metrics read (the
+largest squared row norm of the left factor, the largest squared column
+norm of the right factor, the squared Frobenius norm of the left factor)
+without materializing anything dense: in O(1) for sqrt and group-algebra,
+from the O(n log n) row profile for nsr.  The other per-row and
+per-column profiles, which the simulator reads, are built on their first
+read, and the operators on the first read of a factor, which no report or
+sweep makes.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _group_algebra_norm_sq, check_size, coefficient_table
+from .sequences import _group_algebra_norm_sq, _sqrt_norm_sums, check_size, coefficient_table
 from .structmat import (
     CirculantSlice,
     LowerTriangularToeplitz,
@@ -81,42 +84,57 @@ class NsrLeft(LowerTriangularToeplitz):
 class Factorization:
     """One explicit factorization with left @ right == counting_matrix(n).
 
-    ``inner_dim`` is n for sqrt/nsr and 2n for group-algebra.  The norm
-    profiles are the only ones kept: the error metrics and the simulator
-    read them, and the operators offer only apply and to_dense.  They agree
-    with direct recomputation from the dense factors.  ``operators()``
-    returns (left, right), called once, on the first read of either.
+    ``inner_dim`` is n for sqrt/nsr and 2n for group-algebra.  The error
+    metrics read three scalars: ``max_row_sq_left``, ``max_col_sq_right``
+    and ``frobenius_sq_left``.  ``profiles()`` returns the read-only
+    squared row norms of the left factor and column norms of the right
+    factor, which the simulator reads; ``operators()`` returns (left,
+    right), which offer only apply and to_dense.  Each is called once, on
+    the first read of either of its two values.  All agree with direct
+    recomputation from the dense factors.
     """
 
     method: str
     n: int
-    operators: Callable[[], tuple[CirculantSlice, CirculantSlice]]
     inner_dim: int
-    row_norms_sq_left: np.ndarray
-    col_norms_sq_right: np.ndarray
+    max_row_sq_left: float
+    max_col_sq_right: float
     frobenius_sq_left: float
+    profiles: Callable[[], tuple[np.ndarray, np.ndarray]]
+    operators: Callable[[], tuple[CirculantSlice, CirculantSlice]]
+
+    @functools.cached_property
+    def _profiles(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.profiles()
 
     @functools.cached_property
     def _pair(self) -> tuple[CirculantSlice, CirculantSlice]:
         return self.operators()
 
+    row_norms_sq_left = property(lambda self: self._profiles[0])
+    col_norms_sq_right = property(lambda self: self._profiles[1])
     left = property(lambda self: self._pair[0])
     right = property(lambda self: self._pair[1])
 
 
 def sqrt_factorization(n: int) -> Factorization:
     """Square-root factorization C @ C: both factors are one operator, so
-    the max row norm and max column norm coincide.  The norms read only
-    d_sq; the operator's column is the table's r, computed on first read."""
-    table = coefficient_table(n)
+    the max row norm and max column norm coincide, at S(n) = d_sq[0].  The
+    scalars come from sequences._sqrt_norm_sums in O(1).  The profiles
+    (d_sq, reversed for the rows) and the operator (column r) read one
+    coefficient table, built on the first read of either."""
+    s, w = _sqrt_norm_sums(n)
+    table = functools.cache(functools.partial(coefficient_table, n))
     return Factorization(
         method=SQRT,
         n=n,
-        operators=lambda: (LowerTriangularToeplitz(table.r),) * 2,
         inner_dim=n,
-        row_norms_sq_left=table.d_sq[::-1],  # row j: the first j+1 coefficients
-        col_norms_sq_right=table.d_sq,
-        frobenius_sq_left=float(np.sum(table.d_sq)),
+        max_row_sq_left=s,
+        max_col_sq_right=s,
+        frobenius_sq_left=w,
+        # row j: the first j+1 coefficients
+        profiles=lambda: (table().d_sq[::-1], table().d_sq),
+        operators=lambda: (LowerTriangularToeplitz(table().r),) * 2,
     )
 
 
@@ -194,17 +212,19 @@ def _nsr_operators(n: int) -> tuple[NsrLeft, ColumnScaled]:
 
 def nsr_factorization(n: int) -> Factorization:
     """Normalized square root: right factor C D^{-1} has unit columns, left
-    factor M D C^{-1} carries all the norm growth.  Only the row-norm
-    profile is kept: the operators build their own coefficient table."""
+    factor M D C^{-1} carries all the norm growth.  The row-norm profile
+    is computed at once, and the scalars read from it; the operators build
+    their own coefficient table."""
     row_sq = nsr_row_norms_sq(n)
     return Factorization(
         method=NSR,
         n=n,
-        operators=functools.partial(_nsr_operators, n),
         inner_dim=n,
-        row_norms_sq_left=row_sq,
-        col_norms_sq_right=np.broadcast_to(1.0, n),
+        max_row_sq_left=float(np.max(row_sq)),
+        max_col_sq_right=1.0,
         frobenius_sq_left=float(np.sum(row_sq)),
+        profiles=lambda: (row_sq, np.broadcast_to(1.0, n)),
+        operators=functools.partial(_nsr_operators, n),
     )
 
 
@@ -221,17 +241,18 @@ def group_algebra_factorization(n: int) -> Factorization:
     spectrum on its first apply or dense view, so the norms never build it.
     """
     full = _group_algebra_norm_sq(n)
-    norms = np.broadcast_to(full, n)  # read-only, one float for every entry
     spectrum = functools.partial(circulant_half_spectrum, n)
     return Factorization(
         method=GROUP_ALGEBRA,
         n=n,
+        inner_dim=2 * n,
+        max_row_sq_left=full,
+        max_col_sq_right=full,
+        frobenius_sq_left=n * full,
+        # read-only, one float for every entry
+        profiles=lambda: (np.broadcast_to(full, n),) * 2,
         operators=lambda: (CirculantSlice((n, 2 * n), 2 * n, spectrum),
                            CirculantSlice((2 * n, n), 2 * n, spectrum)),
-        inner_dim=2 * n,
-        row_norms_sq_left=norms,
-        col_norms_sq_right=norms,
-        frobenius_sq_left=n * full,
     )
 
 

@@ -7,8 +7,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .factorizations import GROUP_ALGEBRA, NSR, SQRT, Factorization, factorize
 from .sequences import CONSTANTS, _group_algebra_norm_sq, check_size, wallis_coeffs
 
@@ -25,16 +23,18 @@ def residual_offset(n: int) -> float:
 def maxse(f: Factorization) -> float:
     """Worst-coordinate error norm of the factorization at unit noise, as the
     root of one product: equal squared norms a (sqrt, group-algebra) give a exactly."""
-    return math.sqrt(float(np.max(f.row_norms_sq_left)) * float(np.max(f.col_norms_sq_right)))
+    return math.sqrt(f.max_row_sq_left * f.max_col_sq_right)
 
 
 def meanse(f: Factorization) -> float:
     """Mean-squared error norm of the factorization at unit noise."""
-    return math.sqrt(f.frobenius_sq_left / f.n * float(np.max(f.col_norms_sq_right)))
+    return math.sqrt(f.frobenius_sq_left / f.n * f.max_col_sq_right)
 
 
 def closed_form_maxse_sqrt(n: int) -> float:
-    """MaxSE of the square-root factorization: sum_{j<n} r_j^2 exactly."""
+    """MaxSE of the square-root factorization, sum_{j<n} r_j^2, as the
+    math.fsum of the running product's squares: an O(n) oracle for the
+    O(1) value the factorization reports."""
     return math.fsum(wallis_coeffs(n) ** 2)
 
 

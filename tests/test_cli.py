@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from golden import GOLDEN, relative_error, sqrt_norms
 
 from countfact import bounds as bounds_mod
 from countfact import cli
@@ -29,6 +30,17 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_sqrt_report(n, maxse, meanse, maxse_residual=None, meanse_residual=None):
+    """Printed sqrt norms (strings) within 1e-15 of the golden sums, and
+    residuals, when given, the norms less log(n)/pi to the last bit."""
+    exact_max, exact_mean = sqrt_norms(n)
+    assert relative_error(float(maxse), exact_max) <= 1e-15
+    assert relative_error(float(meanse), exact_mean) <= 1e-15
+    offset = mt.residual_offset(n)
+    for value, residual in ((maxse, maxse_residual), (meanse, meanse_residual)):
+        assert residual is None or float(residual) == float(value) - offset
 
 
 class TestCoeffs:
@@ -176,6 +188,23 @@ class TestFactorize:
                                "--check")
         assert (code, err) == (1, "CHECK FAIL [factorize] reconstruction deviates by "
                                   "1.000e-06\n")
+
+    def test_sqrt_at_2_to_24_prints_its_scalars_and_builds_no_table(self, capsys,
+                                                                    monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("factorize built a coefficient table")
+
+        monkeypatch.setattr("countfact.factorizations.coefficient_table", must_not_run)
+        n = 2**24
+        code, out, err = run_cli(capsys, "factorize", "--method", "sqrt", "--n", str(n))
+        assert (code, err) == (0, "")
+        fields = dict(line.split() for line in out.splitlines())
+        assert (fields["method"], fields["n"], fields["inner_dim"]) == ("sqrt", str(n), str(n))
+        assert_sqrt_report(n, fields["maxse"], fields["meanse"])
+        s, w = GOLDEN[n]
+        assert fields["max_row_norm_left"] == fields["max_col_norm_right"]
+        assert relative_error(float(fields["max_row_norm_left"]) ** 2, s) <= 1e-15
+        assert relative_error(float(fields["frobenius_left"]) ** 2, w) <= 1e-15
 
     def test_without_check_verifies_nothing(self, capsys, monkeypatch):
         def must_not_run(*args, **kwargs):
@@ -504,18 +533,9 @@ class TestSweep:
 
 
 # The whole stdout of metrics and bounds, pinned: the report's fields, then
-# the closed forms (sqrt, group-algebra) or G(n) (from n = 2 on).
+# the closed forms (sqrt, group-algebra) or G(n) (from n = 2 on).  The sqrt
+# norms at n = 64 are checked against the golden sums instead.
 PRINTED = {
-    ("metrics", "--method", "sqrt", "--n", "64"): (
-        "method                     sqrt\n"
-        "n                          64\n"
-        "maxse                      2.3888481082954347\n"
-        "meanse                     2.2296764715813904\n"
-        "maxse_residual             1.0650345073795251\n"
-        "meanse_residual            0.90586287066548077\n"
-        "predicted_maxse_residual   1.0662758532089143\n"
-        "predicted_meanse_residual  0.9071209101170189\n"
-        "closed_form_maxse          2.3888481082954347\n"),
     ("metrics", "--method", "group-algebra", "--n", "64"): (
         "method                     group-algebra\n"
         "n                          64\n"
@@ -605,10 +625,26 @@ class TestSweepComputesOnlyWhatItWrites:
         assert patched.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("argv", PRINTED, ids=[
-        "sqrt", "group-algebra", "bounds", "nsr",
+        "group-algebra", "bounds", "nsr",
         "sqrt-n1", "nsr-n1", "group-algebra-n1", "bounds-n1"])
     def test_metrics_and_bounds_still_print_them(self, capsys, argv):
         assert run_cli(capsys, *argv) == (0, PRINTED[argv], "")
+
+    def test_sqrt_metrics_print_the_golden_norms(self, capsys):
+        # The same fields in the same order; the norms are checked against
+        # the golden sums, the closed form too (its own O(n) fsum).
+        code, out, err = run_cli(capsys, "metrics", "--method", "sqrt", "--n", "64")
+        assert (code, err) == (0, "")
+        fields = dict(line.split() for line in out.splitlines())
+        assert list(fields) == ["method", "n", "maxse", "meanse", "maxse_residual",
+                                "meanse_residual", "predicted_maxse_residual",
+                                "predicted_meanse_residual", "closed_form_maxse"]
+        assert (fields["method"], fields["n"]) == ("sqrt", "64")
+        assert fields["predicted_maxse_residual"] == "1.0662758532089143"
+        assert fields["predicted_meanse_residual"] == "0.9071209101170189"
+        assert_sqrt_report(64, fields["maxse"], fields["meanse"],
+                           fields["maxse_residual"], fields["meanse_residual"])
+        assert relative_error(float(fields["closed_form_maxse"]), GOLDEN[64][0]) <= 1e-15
 
 
 class TestCsvWriter:
@@ -628,10 +664,14 @@ class TestCsvWriter:
                      ("bounds", "--n", "1"),
                      ("bounds", "--n", "5")):
             assert run_cli(capsys, *argv, "--csv", str(path))[0] == 0
-        assert path.read_text() == (
-            "n,method,metric,value,residual,predicted_residual\n"
-            "64,sqrt,maxse,2.3888481082954347,1.0650345073795251,1.0662758532089143\n"
-            "64,sqrt,meanse,2.2296764715813904,0.90586287066548077,0.9071209101170189\n"
+        header, sqrt_max, sqrt_mean, *rest = path.read_text().splitlines(keepends=True)
+        assert header == "n,method,metric,value,residual,predicted_residual\n"
+        # The sqrt rows against the golden sums.
+        rows = [line.rstrip("\n").split(",") for line in (sqrt_max, sqrt_mean)]
+        assert [row[:3] for row in rows] == [["64", "sqrt", "maxse"], ["64", "sqrt", "meanse"]]
+        assert [row[5] for row in rows] == ["1.0662758532089143", "0.9071209101170189"]
+        assert_sqrt_report(64, rows[0][3], rows[1][3], rows[0][4], rows[1][4])
+        assert "".join(rest) == (
             "64,nsr,maxse,2.2117689433623644,0.8879553424464548,0.84564025305626267\n"
             "64,nsr,meanse,2.1277017443554116,0.80388814343950199,0.74796596702512363\n"
             "1,lower-bound,nuclear_lb,1.0000000000000002,1.0000000000000002,"
@@ -648,13 +688,17 @@ class TestCsvWriter:
                      ("--method", "sqrt", "--seed", "2", "--mu", "0.5")):
             assert run_cli(capsys, "simulate", "--n", "64", "--trials", "20", *argv,
                            "--csv", str(path))[0] == 0
-        assert path.read_text() == (
-            "n,method,mu,trials,seed,empirical_err_inf,empirical_err_2,"
-            "theory_err_inf,theory_err_2\n"
-            "64,nsr,1,20,1,2.8916046209078097,2.1274254609308785,"
-            "2.2117689433623644,2.1277017443554116\n"
-            "64,sqrt,0.5,20,2,6.6330534929649065,5.135732293261448,"
-            "4.7776962165908694,4.4593529431627807\n")
+        header, nsr, sqrt = path.read_text().splitlines(keepends=True)
+        assert header == ("n,method,mu,trials,seed,empirical_err_inf,empirical_err_2,"
+                          "theory_err_inf,theory_err_2\n")
+        assert nsr == ("64,nsr,1,20,1,2.8916046209078097,2.1274254609308785,"
+                       "2.2117689433623644,2.1277017443554116\n")
+        # The empirical errors read the profiles, bit for bit as before; the
+        # theory errors are the golden norms over mu = 0.5.
+        *fields, theory_inf, theory_2 = sqrt.rstrip("\n").split(",")
+        assert fields == ["64", "sqrt", "0.5", "20", "2", "6.6330534929649065",
+                          "5.135732293261448"]
+        assert_sqrt_report(64, float(theory_inf) / 2, float(theory_2) / 2)
 
 
 class TestCsvHeader:
@@ -895,7 +939,8 @@ class TestSimulate:
 
         def scaled(method, n):
             f = original(method, n)
-            return dataclasses.replace(f, row_norms_sq_left=4.0 * f.row_norms_sq_left)
+            return dataclasses.replace(
+                f, profiles=lambda: (4.0 * f.row_norms_sq_left, f.col_norms_sq_right))
 
         monkeypatch.setattr(fz, "factorize", scaled)
         code, _, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "2048",

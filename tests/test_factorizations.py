@@ -168,6 +168,18 @@ class TestSqrtFactorization:
         if n <= DENSE_BUDGET:
             assert factor.to_dense().tobytes() == expected.to_dense().tobytes()
 
+    @pytest.mark.parametrize("n", [2**10, 2**16])
+    def test_profiles_read_on_first_read_agree_with_the_scalars(self, n):
+        # The O(1) scalars and the table's d_sq are two evaluations of the
+        # same sums; the profiles are built only when read.
+        f = sqrt_factorization(n)
+        assert "_profiles" not in vars(f)
+        rows, cols = f.row_norms_sq_left, f.col_norms_sq_right
+        assert rows.shape == cols.shape == (n,) and np.shares_memory(rows, cols)
+        assert_allclose(np.max(rows), f.max_row_sq_left, rtol=1e-14, atol=0)
+        assert_allclose(np.max(cols), f.max_col_sq_right, rtol=1e-14, atol=0)
+        assert_allclose(np.sum(rows), f.frobenius_sq_left, rtol=1e-14, atol=0)
+
     def test_norm_profiles_match_dense(self):
         f = sqrt_factorization(64)
         dense = f.left.to_dense()
@@ -561,6 +573,25 @@ def test_stored_profiles_match_dense(method, n):
     assert_allclose(f.row_norms_sq_left, np.einsum("jk,jk->j", left, left), rtol=1e-12)
     assert_allclose(f.col_norms_sq_right, np.einsum("jk,jk->k", right, right), rtol=1e-12)
     assert_allclose(f.frobenius_sq_left, np.einsum("jk,jk->", left, left), rtol=1e-12)
+    assert_allclose(f.max_row_sq_left, np.einsum("jk,jk->j", left, left).max(), rtol=1e-12)
+    assert_allclose(f.max_col_sq_right, np.einsum("jk,jk->k", right, right).max(),
+                    rtol=1e-12)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_profiles_built_once_by_one_call_on_first_read(method):
+    f = factorize(method, 16)
+    calls = []
+
+    def profiles():
+        calls.append(1)
+        return f.profiles()
+
+    g = dataclasses.replace(f, profiles=profiles)
+    assert calls == [] and "_profiles" not in vars(g)
+    rows = g.row_norms_sq_left
+    assert g.col_norms_sq_right is g.col_norms_sq_right and g.row_norms_sq_left is rows
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -4,7 +4,8 @@ import functools
 import math
 
 import pytest
-from memory import BLOCK_WORKSPACE, traced_growth, traced_peak
+from golden import GOLDEN, SIZES, relative_error
+from memory import traced_growth, traced_peak
 from numpy.testing import assert_allclose
 
 from countfact import (
@@ -69,13 +70,16 @@ class TestMaxseMeanse:
 
     def test_maxse_is_the_stored_squared_norm_exactly(self):
         # Where the left rows and right columns peak at one squared norm a,
-        # MaxSE is a itself: d_sq[0] for sqrt, the one stored norm for
+        # MaxSE is a itself: S(n) for sqrt, the one stored norm for
         # group-algebra.  Two square roots multiplied missed it by an ulp
         # at 1,367 and 1,304 of these sizes.
         for n in range(1, 3000):
-            assert maxse(sqrt_factorization(n)) == coefficient_table(n).d_sq[0], n
-            f = factorize(GROUP_ALGEBRA, n)
-            assert maxse(f) == f.row_norms_sq_left[0] == f.col_norms_sq_right[0], n
+            for method in (SQRT, GROUP_ALGEBRA):
+                f = factorize(method, n)
+                assert maxse(f) == f.max_row_sq_left == f.max_col_sq_right, (method, n)
+        # The sqrt a against the direct mpmath sums, at every size they hold.
+        for n in SIZES:
+            assert relative_error(maxse(sqrt_factorization(n)), GOLDEN[n][0]) <= 1e-15, n
 
 
 class TestClosedForms:
@@ -139,15 +143,16 @@ class TestPredictedResiduals:
 
 
 class TestErrorReport:
-    def test_sqrt_report_adds_nothing_n_long_to_the_table(self, monkeypatch):
-        # The peak is the coefficient table's d_sq and the blocks of the
-        # streamed product and its compensated sum; the factors never read
-        # r.  Handed a built table, the row profile is a view of its d_sq.
-        n = 2**16
-        assert traced_peak(lambda: error_report(SQRT, n)) <= 8 * n + BLOCK_WORKSPACE
-        table = coefficient_table(n)
-        monkeypatch.setattr("countfact.factorizations.coefficient_table", lambda n: table)
-        assert traced_peak(lambda: error_report(SQRT, n)) <= 4096
+    def test_sqrt_report_builds_nothing_n_long(self, monkeypatch):
+        # The norms are O(1) series: no coefficient table, no operator, and
+        # a traced peak of a few small objects, whatever n.
+        assert traced_peak(lambda: error_report(SQRT, 2**20)) < 4096
+        for name in ("countfact.factorizations.coefficient_table",
+                     "countfact.sequences.coefficient_table"):
+            monkeypatch.setattr(name, refuse)
+        monkeypatch.setattr(CirculantSlice, "__init__", refuse)
+        for n in (1, 15, 16, 2**20, 2**24):
+            error_report(SQRT, n)
 
     @pytest.mark.parametrize("method", [SQRT, NSR, GROUP_ALGEBRA])
     def test_report_keeps_nothing_alive(self, method):

@@ -140,7 +140,8 @@ class TestCoefficientTable:
         assert table in {table}
 
     def test_no_table_outlives_a_sweep(self, monkeypatch):
-        # Each table lives as long as the factorization that holds it.
+        # Each table lives as long as the factorization that holds it.  The
+        # sqrt points build none; each nsr point builds one.
         tables = []
 
         def recorded(n):
@@ -151,8 +152,23 @@ class TestCoefficientTable:
         monkeypatch.setattr("countfact.factorizations.coefficient_table", recorded)
         sizes = [2**k for k in range(2, 17)]
         sweep_rows(("sqrt", "nsr"), ("maxse", "meanse"), sizes)
-        assert len(tables) >= 2 * len(sizes)
+        assert len(tables) == len(sizes)
         assert all(ref() is None for ref in tables)
+
+    def test_sqrt_and_group_algebra_sweep_builds_no_table(self, monkeypatch):
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return coefficient_table(n)
+
+        for name in ("countfact.factorizations.coefficient_table",
+                     "countfact.sequences.coefficient_table"):
+            monkeypatch.setattr(name, counted)
+        sizes = [2**k for k in range(2, 21)]
+        rows = sweep_rows(("sqrt", "group-algebra"), ("maxse", "meanse"), sizes)
+        assert len(rows) == 4 * len(sizes)
+        assert calls == []
 
     def test_rtilde_and_alpha_computed_on_first_read(self, monkeypatch):
         table = coefficient_table(64)

@@ -123,12 +123,22 @@ class TestLowerTriangularToeplitz:
             LowerTriangularToeplitz(col)
 
     def test_read_only_columns_are_shared_and_writable_ones_copied(self, monkeypatch):
+        # The sqrt operator's column and profiles are views of one table,
+        # built on the first read of either.
         n = 1000
-        table = coefficient_table(n)
-        monkeypatch.setattr("countfact.factorizations.coefficient_table", lambda n: table)
+        tables = []
+
+        def recorded(n):
+            tables.append(coefficient_table(n))
+            return tables[-1]
+
+        monkeypatch.setattr("countfact.factorizations.coefficient_table", recorded)
         f = factorize("sqrt", n)
-        assert np.shares_memory(f.left.col, table.r)
-        assert np.shares_memory(f.row_norms_sq_left, table.d_sq)
+        assert tables == []
+        assert np.shares_memory(f.row_norms_sq_left, f.col_norms_sq_right)
+        assert np.shares_memory(f.left.col, tables[0].r)
+        assert np.shares_memory(f.row_norms_sq_left, tables[0].d_sq)
+        assert len(tables) == 1
         # A writable column is copied: changing it before the first apply,
         # which computes the spectrum, leaves the operator as it was built.
         col = np.random.default_rng(4).standard_normal(n)
