@@ -3,10 +3,11 @@ asymptotics behind them.
 
 The singular values of the counting matrix are 1 / (2 sin((2j-1) pi / (4n+2)))
 for j = 1..n, so its nuclear norm over n is a pure cosecant sum; the same is
-true of the older spectral bound it improves on.  All sums here go through
-sequences._cosecant_sum, one blocked compensated sum that rounds the exact
-sum of its positive terms once; the Mathias bound reads the memoized odd
-sum that the group-algebra factorization's norm also reads.
+true of the older spectral bound it improves on.  The nuclear bound and
+G(n) are differences of T(m) = sum_{l=1..m-1} csc(pi l / m), which
+sequences._cosecant_total evaluates in O(1); the Mathias bound reads the
+memoized odd sum, a blocked compensated sum in O(n), that the
+group-algebra factorization's norm also reads.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .sequences import CONSTANTS, EULER_GAMMA, _cosecant_sum, _odd_cosecant_sum, check_size
+from .sequences import CONSTANTS, EULER_GAMMA, _cosecant_total, _odd_cosecant_sum, check_size
 from .metrics import residual_offset
 
 
@@ -22,9 +23,13 @@ def nuclear_lower_bound(n: int) -> float:
     """(1/2n) sum_{j=1..n} csc((2j - 1) pi / (4n + 2)): nuclear norm of the
     counting matrix divided by n.  No factorization can beat it on either
     error norm.  Approaches log(n)/pi + (euler_gamma + log(16/pi))/pi.
+
+    The odd terms of T(4n + 2) are twice this sum and csc(pi/2) = 1; its
+    even terms are T(2n + 1).  So the bound is
+    (T(4n + 2) - T(2n + 1) - 1) / 4n, in O(1).
     """
     n = check_size(n)
-    return _cosecant_sum(range(1, 2 * n, 2), 4 * n + 2) / (2 * n)
+    return (_cosecant_total(4 * n + 2) - _cosecant_total(2 * n + 1) - 1.0) / (4 * n)
 
 
 def mathias_lower_bound(n: int) -> float:
@@ -41,10 +46,10 @@ def cosecant_average(n: int) -> tuple[float, float]:
 
     Returns (value, predicted) where predicted =
     (2/pi) (log n + euler_gamma + log(2/pi)); the two agree up to a
-    vanishing term as n grows.
+    vanishing term as n grows.  The value is T(n) / n, in O(1).
     """
     n = check_size(n, 2)
-    value = _cosecant_sum(range(1, n), n) / n
+    value = _cosecant_total(n) / n
     predicted = (2.0 / math.pi) * (math.log(n) + EULER_GAMMA + math.log(2.0 / math.pi))
     return value, predicted
 

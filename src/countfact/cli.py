@@ -102,9 +102,10 @@ def _report_rows(n, method, report, metrics) -> list[tuple]:
 def sweep_rows(methods, metrics, sizes):
     """One (n, method, metric, value, residual, predicted) tuple per point,
     sorted by (method, metric, n), so the rows do not depend on the number
-    of workers (pool_size(): each worker holds the arrays of one point)."""
-    import concurrent.futures
-
+    of workers.  A sweep with nsr points computes them on pool_size()
+    worker threads, each holding the arrays of one point: the rfft/irfft
+    pairs of an nsr profile release the GIL.  Any other sweep computes its
+    points in order on the calling thread."""
     method_metrics = [m for m in mt.METRICS if m in metrics]
     bound_metrics = [m for m in BOUND_METRICS if m in metrics]
 
@@ -117,8 +118,14 @@ def sweep_rows(methods, metrics, sizes):
     points = [(method, n) for method in methods for n in sizes] if method_metrics else []
     if bound_metrics:
         points += [(LOWER_BOUND_METHOD, n) for n in sizes]
-    with concurrent.futures.ThreadPoolExecutor(pool_size()) as pool:
-        rows = [row for point_rows in pool.map(point, points) for row in point_rows]
+    if method_metrics and fz.NSR in methods:
+        import concurrent.futures
+
+        with concurrent.futures.ThreadPoolExecutor(pool_size()) as pool:
+            results = list(pool.map(point, points))
+    else:
+        results = map(point, points)
+    rows = [row for point_rows in results for row in point_rows]
     rows.sort(key=lambda row: (row[1], row[2], row[0]))
     return rows
 
@@ -429,9 +436,7 @@ def _sweep_checks(rows) -> list[str]:
     for n, method, metric, value, _residual, _predicted in rows:
         by_point.setdefault((method, n), {})[metric] = value
         sizes.add(n)
-    # A nuclear_lb row holds nuclear_lower_bound(n); compute only what is missing.
-    nuclear = {n: by_point.get((LOWER_BOUND_METHOD, n), {}).get("nuclear_lb")
-               or bounds_mod.nuclear_lower_bound(n) for n in sizes}
+    nuclear = {n: bounds_mod.nuclear_lower_bound(n) for n in sizes}
     for (method, n), values in sorted(by_point.items()):
         if method != LOWER_BOUND_METHOD and mt.MAXSE in values:
             checks = _point_checks(values[mt.MAXSE], values.get(mt.MEANSE), nuclear[n])

@@ -33,7 +33,9 @@ _TASK_DRAWS = 2**15
 
 def pool_size() -> int:
     """Threads of a worker pool: one per CPU, at most four.  Each thread
-    holds the arrays of one task, so the cap bounds peak memory."""
+    holds the arrays of one task, so the cap bounds peak memory.  Only work
+    that releases the GIL starts a pool: the simulator's trials from
+    POOL_FLOOR up, and a sweep's nsr points."""
     return min(4, os.cpu_count() or 1)
 
 
@@ -108,8 +110,7 @@ def _generator(seed: int, trial_index: int) -> np.random.Generator:
 
 def noise_scale(f: Factorization, mu: float) -> float:
     """sigma = max column norm of the right factor, divided by mu."""
-    sens = math.sqrt(float(np.max(f.col_norms_sq_right)))
-    return sens / mu  # mu = inf gives exactly 0.0
+    return math.sqrt(f.max_col_sq_right) / mu  # mu = inf gives exactly 0.0
 
 
 def _in_order(fn, tasks, workers: int):

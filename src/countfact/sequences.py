@@ -90,34 +90,27 @@ def _compensated_sum(blocks, out=None) -> float:
     return float(total + error)
 
 
-def _cosecant_sum(numerators: range, denominator: int) -> float:
-    """sum csc(pi num / den) over the numerators, one block of terms at a
-    time, by _compensated_sum, which rounds the exact sum of these positive
-    terms once, up to a relative (m eps)^2.
+@functools.lru_cache(maxsize=64)
+def _odd_cosecant_sum(n: int) -> float:
+    """sum_{l=1..n} csc(pi (2l - 1) / (2n)), for an n already checked, one
+    block of terms at a time, by _compensated_sum, which rounds the exact
+    sum of these positive terms once, up to a relative (m eps)^2.
 
-    Each argument is rounded as fl(fl(pi num) / den), so every term is the
-    one the direct expression 1 / np.sin(np.pi * num / den) gives.
+    Each argument is rounded as fl(fl(pi (2l - 1)) / 2n), so every term is
+    the one the direct expression 1 / np.sin(np.pi * (2l - 1) / (2n))
+    gives.  Memoized for the last 64 sizes, one float each, more than a
+    geometric sweep visits, so the group-algebra norm and the Mathias bound
+    at one n sum once.
     """
     def terms():
-        for part in _blocks(numerators):
+        for part in _blocks(range(1, 2 * n, 2)):
             t = np.arange(part.start, part.stop, part.step, dtype=np.float64)
             t *= np.pi
-            t /= denominator
+            t /= 2 * n
             np.sin(t, out=t)
             yield np.divide(1.0, t, out=t)
 
     return _compensated_sum(terms())
-
-
-@functools.lru_cache(maxsize=64)
-def _odd_cosecant_sum(n: int) -> float:
-    """sum_{l=1..n} csc(pi (2l - 1) / (2n)), for an n already checked.
-
-    Memoized for the last 64 sizes, one float each, more than a geometric
-    sweep visits, so the group-algebra norm and the Mathias bound at one n
-    sum once.
-    """
-    return _cosecant_sum(range(1, 2 * n, 2), 2 * n)
 
 
 def _group_algebra_norm_sq(n: int) -> float:
@@ -209,6 +202,32 @@ def _sqrt_norm_sums(n: int) -> tuple[float, float]:
     s /= math.pi
     r = _polyval(_R_SERIES, x) / math.sqrt(math.pi * n)
     return s, (n + 0.25) * s - (n * r) ** 2
+
+
+# T(m) = sum_{l=1..m-1} csc(pi l / m) splits csc(pi x) into its poles,
+# 1/(pi x) + 1/(pi (1 - x)), and an analytic rest g(x).  The poles sum to
+# (2m/pi)(psi(m) + gamma), with psi(m) from its asymptotic series (DLMF
+# 5.11.2); g by the trapezoid Euler-Maclaurin formula (DLMF 2.10.1), whose
+# odd derivatives of g at 0 come from the Laurent coefficients a_k of
+# csc z = 1/z + sum_k a_k z^(2k-1) (A&S 4.3.68).  The 1/pi terms of the two
+# series cancel, leaving
+#   T(m) = (2m/pi)(ln(2m/pi) + gamma) - sum_{k=1..5} (B_2k a_k / k) pi^(2k-1) m^(1-2k).
+# From _SERIES_FLOOR up, the first omitted term is below 5e-17 relative.
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66)  # B_2..B_10
+_CSC_LAURENT = (1 / 6, 7 / 360, 31 / 15120, 127 / 604800, 73 / 3421440)  # a_1..a_5
+_T_SERIES = tuple(b * a * math.pi ** (2 * k - 1) / k  # in 1/m^2, highest power first
+                  for k, (b, a) in enumerate(zip(_BERNOULLI, _CSC_LAURENT), 1))[::-1]
+
+
+def _cosecant_total(m: int) -> float:
+    """T(m) = sum_{l=1..m-1} csc(pi l / m), for an m already checked, in
+    O(1) from the series above; below _SERIES_FLOOR the math.fsum of the
+    terms, each argument reflected into (0, pi/2]."""
+    if m < _SERIES_FLOOR:
+        return math.fsum(1.0 / math.sin(math.pi * min(l, m - l) / m) for l in range(1, m))
+    x = 1.0 / m
+    leading = (2 * m / math.pi) * (math.log(2 * m / math.pi) + EULER_GAMMA)
+    return leading - x * _polyval(_T_SERIES, x * x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,21 +24,14 @@ from countfact import bounds, sequences
 from countfact.bounds import bound_report, cosecant_average
 from countfact.cli import main
 from countfact.factorizations import METHODS
-from countfact.sequences import _cosecant_sum
+from countfact.sequences import _cosecant_total, _odd_cosecant_sum
 
-# Every size a cosecant sum is tested at bitwise: all of 1..299, and each
-# power of two up to 2**20 with its successor.
+# Every size the odd cosecant sum is tested at bitwise: all of 1..299, and
+# each power of two up to 2**20 with its successor.
 COSECANT_SIZES = sorted(set(range(1, 300)) | {2**k + e for k in range(21) for e in (0, 1)})
 
-
-def cosecant_families(n):
-    # (numerators, denominator) of the three sums: Mathias and group-algebra
-    # closed form, nuclear bound, cosecant average G(n).
-    odd = range(1, 2 * n, 2)
-    families = {"odd": (odd, 2 * n), "nuclear": (odd, 4 * n + 2)}
-    if n >= 2:
-        families["average"] = (range(1, n), n)
-    return families
+# The blocked odd sum (Mathias bound, group-algebra closed form), unmemoized.
+odd_cosecant_sum = _odd_cosecant_sum.__wrapped__
 
 
 class TestNuclearLowerBound:
@@ -166,24 +159,37 @@ class TestBoundReport:
 
 
 def test_cosecant_sum_equals_fsum_bitwise():
-    # The compensated kernel rounds each exact sum once, like
+    # The compensated kernel of the odd sum rounds each exact sum once, like
     # math.fsum, and every term is the one the direct expression gives.
     mismatches = []
     for n in COSECANT_SIZES:
-        for family, (num, den) in cosecant_families(n).items():
-            terms = 1.0 / np.sin(np.pi * np.arange(num.start, num.stop, num.step) / den)
-            expected = math.fsum(terms)
-            got = _cosecant_sum(num, den)
-            if got != expected:
-                mismatches.append((family, n, (got - expected) / math.ulp(expected)))
+        expected = math.fsum(1.0 / np.sin(np.pi * np.arange(1, 2 * n, 2) / (2 * n)))
+        got = odd_cosecant_sum(n)
+        if got != expected:
+            mismatches.append((n, (got - expected) / math.ulp(expected)))
     assert mismatches == []
 
 
 @pytest.mark.parametrize("n", [2**16, 2**18])
 def test_cosecant_sums_work_in_a_few_blocks(n):
     # One n-independent bound; at 2**18 it is below one n-length array.
-    for family, (num, den) in cosecant_families(n).items():
-        assert traced_peak(lambda: _cosecant_sum(num, den)) <= BLOCK_WORKSPACE, family
+    assert traced_peak(lambda: odd_cosecant_sum(n)) <= BLOCK_WORKSPACE
+
+
+def test_cosecant_total_matches_the_reflected_fsum():
+    # Below the series floor the kernel is this sum; above it the series
+    # meets it within a few ulps (the golden table checks it to 2**24).
+    for m in range(1, 300):
+        terms = 1.0 / np.sin(np.pi * np.minimum(np.arange(1, m), m - np.arange(1, m)) / m)
+        expected = math.fsum(terms)
+        got = _cosecant_total(m)
+        assert abs(got - expected) <= 4 * math.ulp(expected), m
+
+
+def test_o1_bounds_allocate_no_arrays():
+    # The nuclear bound and G(n) read T in O(1): no n-length array, at any n.
+    for n in (2**20, 2**24):
+        assert traced_peak(lambda: (nuclear_lower_bound(n), cosecant_average(n))) < 4096
 
 
 CHECKED_SIZE_FUNCTIONS = [nuclear_lower_bound, mathias_lower_bound, cosecant_average,
@@ -196,8 +202,9 @@ def test_rejects_non_integer_or_nonpositive_size_before_any_work(monkeypatch, fu
     def no_work(*args):
         raise AssertionError("a cosecant sum ran before n was checked")
 
-    monkeypatch.setattr(sequences, "_cosecant_sum", no_work)
-    monkeypatch.setattr(bounds, "_cosecant_sum", no_work)
+    for kernel in ("_cosecant_total", "_odd_cosecant_sum"):
+        monkeypatch.setattr(sequences, kernel, no_work)
+        monkeypatch.setattr(bounds, kernel, no_work)
     with pytest.raises(error):
         function(n)
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from golden import GOLDEN, relative_error, sqrt_norms
+from golden import COSECANT, GOLDEN, relative_error, sqrt_norms
 
 from countfact import bounds as bounds_mod
 from countfact import cli
@@ -23,7 +23,8 @@ from countfact import factorizations as fz
 from countfact import metrics as mt
 from countfact import sequences
 from countfact.cli import main
-from countfact.mechanism import POOL_FLOOR
+from countfact.mechanism import POOL_FLOOR, _generator
+from countfact.sequences import wallis_coeffs
 
 
 def run_cli(capsys, *argv):
@@ -41,6 +42,13 @@ def assert_sqrt_report(n, maxse, meanse, maxse_residual=None, meanse_residual=No
     offset = mt.residual_offset(n)
     for value, residual in ((maxse, maxse_residual), (meanse, meanse_residual)):
         assert residual is None or float(residual) == float(value) - offset
+
+
+def assert_nuclear_row(n, value, residual):
+    """A printed nuclear bound (string) within 1e-14 of the golden sum over
+    2n, and its residual the bound less log(n)/pi to the last bit."""
+    assert relative_error(float(value), COSECANT[n][1] / (2 * n)) <= 1e-14
+    assert float(residual) == float(value) - mt.residual_offset(n)
 
 
 class TestCoeffs:
@@ -437,6 +445,39 @@ class TestSweep:
         assert captured.out == ""
         assert not path.exists()
 
+    def test_only_a_sweep_with_nsr_points_starts_a_pool(self, capsys, tmp_path, monkeypatch):
+        pools = []
+
+        class Recorded(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recorded)
+        lines = {}
+        for methods in ("sqrt,group-algebra", "nsr", "sqrt,nsr,group-algebra"):
+            pools.clear()
+            path = tmp_path / f"{methods}.csv"
+            assert run_cli(capsys, "sweep", "--methods", methods, "--n-max", "1024",
+                           "--out", str(path))[0] == 0
+            assert len(pools) == ("nsr" in methods)
+            lines[methods] = path.read_text().splitlines()
+        # The rows of each point do not depend on where it was computed.
+        pooled = lines["sqrt,nsr,group-algebra"]
+        assert [line for line in pooled if ",nsr," not in line] == lines["sqrt,group-algebra"]
+        assert [line for line in pooled if ",nsr," in line] == [
+            line for line in lines["nsr"] if ",nsr," in line]
+
+    def test_a_sweep_without_nsr_starts_no_thread(self, tmp_path):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys, threading, countfact.cli; "
+                "countfact.cli.main(['sweep', '--methods', 'sqrt,group-algebra', "
+                f"'--out', {str(tmp_path / 'sweep.csv')!r}]); "
+                "print(threading.active_count(), 'concurrent.futures' in sys.modules)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+        assert result.stdout.splitlines()[-1] == "1 False"
+
     def test_rows_do_not_depend_on_the_worker_count(self, capsys, tmp_path, monkeypatch):
         workers = []
 
@@ -480,7 +521,10 @@ class TestSweep:
                                "--out", str(tmp_path / "sweep.csv"), "--check")
         assert code == 0
         assert "CHECK OK [sweep]" in out
-        assert sorted(calls) == cli.sweep_sizes(4, 8192, geometric=True)
+        # The check computes the O(1) bound at every size; the nuclear_lb
+        # rows, when selected, computed it once more.
+        sizes = cli.sweep_sizes(4, 8192, geometric=True)
+        assert sorted(calls) == sorted(sizes * (2 if "nuclear_lb" in metrics else 1))
 
     def test_check_catches_nsr_above_sqrt(self, capsys, tmp_path, monkeypatch):
         original = mt.error_report
@@ -547,16 +591,6 @@ PRINTED = {
         "predicted_meanse_residual  0.98126141338035655\n"
         "closed_form_maxse          2.3050803403564499\n"
         "closed_form_meanse         2.3050803403564499\n"),
-    ("bounds", "--n", "64"): (
-        "n                           64\n"
-        "nuclear_lb                  2.0401280347005057\n"
-        "mathias_lb                  1.8332847206745193\n"
-        "nuclear_residual            0.71631443378459614\n"
-        "mathias_residual            0.5094711197586097\n"
-        "predicted_nuclear_residual  0.70189701353300815\n"
-        "predicted_mathias_residual  0.4812614133803565\n"
-        "g_n                         2.7275863232920594\n"
-        "g_n_predicted               2.7276076279819259\n"),
     ("metrics", "--method", "nsr", "--n", "64"): (
         "method                     nsr\n"
         "n                          64\n"
@@ -596,14 +630,6 @@ PRINTED = {
         "predicted_meanse_residual  0.98126141338035655\n"
         "closed_form_maxse          1\n"
         "closed_form_meanse         1\n"),
-    ("bounds", "--n", "1"): (
-        "n                           1\n"
-        "nuclear_lb                  1.0000000000000002\n"
-        "mathias_lb                  1\n"
-        "nuclear_residual            1.0000000000000002\n"
-        "mathias_residual            1\n"
-        "predicted_nuclear_residual  0.70189701353300815\n"
-        "predicted_mathias_residual  0.4812614133803565\n"),
 }
 
 
@@ -625,10 +651,32 @@ class TestSweepComputesOnlyWhatItWrites:
         assert patched.read_bytes() == plain.read_bytes()
 
     @pytest.mark.parametrize("argv", PRINTED, ids=[
-        "group-algebra", "bounds", "nsr",
-        "sqrt-n1", "nsr-n1", "group-algebra-n1", "bounds-n1"])
+        "group-algebra", "nsr", "sqrt-n1", "nsr-n1", "group-algebra-n1"])
     def test_metrics_and_bounds_still_print_them(self, capsys, argv):
         assert run_cli(capsys, *argv) == (0, PRINTED[argv], "")
+
+    @pytest.mark.parametrize("n, mathias", [
+        (1, ("1", "1")),
+        (64, ("1.8332847206745193", "0.5094711197586097")),
+    ], ids=["bounds-n1", "bounds"])
+    def test_bounds_print_the_golden_sums(self, capsys, n, mathias):
+        # The same fields in the same order; the nuclear bound and G(n) are
+        # checked against the golden sums, the Mathias bound bitwise.
+        code, out, err = run_cli(capsys, "bounds", "--n", str(n))
+        assert (code, err) == (0, "")
+        fields = dict(line.split() for line in out.splitlines())
+        g_n = ["g_n", "g_n_predicted"] if n >= 2 else []
+        assert list(fields) == ["n", "nuclear_lb", "mathias_lb", "nuclear_residual",
+                                "mathias_residual", "predicted_nuclear_residual",
+                                "predicted_mathias_residual", *g_n]
+        assert fields["n"] == str(n)
+        assert (fields["mathias_lb"], fields["mathias_residual"]) == mathias
+        assert fields["predicted_nuclear_residual"] == "0.70189701353300815"
+        assert fields["predicted_mathias_residual"] == "0.4812614133803565"
+        assert_nuclear_row(n, fields["nuclear_lb"], fields["nuclear_residual"])
+        if g_n:
+            assert relative_error(float(fields["g_n"]), COSECANT[n][0] / n) <= 1e-14
+            assert fields["g_n_predicted"] == "2.7276076279819259"
 
     def test_sqrt_metrics_print_the_golden_norms(self, capsys):
         # The same fields in the same order; the norms are checked against
@@ -671,16 +719,19 @@ class TestCsvWriter:
         assert [row[:3] for row in rows] == [["64", "sqrt", "maxse"], ["64", "sqrt", "meanse"]]
         assert [row[5] for row in rows] == ["1.0662758532089143", "0.9071209101170189"]
         assert_sqrt_report(64, rows[0][3], rows[1][3], rows[0][4], rows[1][4])
-        assert "".join(rest) == (
+        nsr_rows, (nuclear_1, mathias_1), (nuclear_5, mathias_5) = rest[:2], rest[2:4], rest[4:]
+        assert "".join(nsr_rows + [mathias_1, mathias_5]) == (
             "64,nsr,maxse,2.2117689433623644,0.8879553424464548,0.84564025305626267\n"
             "64,nsr,meanse,2.1277017443554116,0.80388814343950199,0.74796596702512363\n"
-            "1,lower-bound,nuclear_lb,1.0000000000000002,1.0000000000000002,"
-            "0.70189701353300815\n"
             "1,lower-bound,mathias_lb,1,1,0.4812614133803565\n"
-            "5,lower-bound,nuclear_lb,1.3191867072850822,0.80688670855830613,"
-            "0.70189701353300815\n"
             "5,lower-bound,mathias_lb,1.1933126291998988,0.68101263047312266,"
             "0.4812614133803565\n")
+        # The nuclear rows against the golden sums.
+        for n, line in ((1, nuclear_1), (5, nuclear_5)):
+            row = line.rstrip("\n").split(",")
+            assert row[:3] + row[5:] == [str(n), "lower-bound", "nuclear_lb",
+                                         "0.70189701353300815"]
+            assert_nuclear_row(n, row[3], row[4])
 
     def test_simulate_appends_under_one_header(self, capsys, tmp_path):
         path = tmp_path / "sim.csv"
@@ -693,11 +744,19 @@ class TestCsvWriter:
                           "theory_err_inf,theory_err_2\n")
         assert nsr == ("64,nsr,1,20,1,2.8916046209078097,2.1274254609308785,"
                        "2.2117689433623644,2.1277017443554116\n")
-        # The empirical errors read the profiles, bit for bit as before; the
-        # theory errors are the golden norms over mu = 0.5.
-        *fields, theory_inf, theory_2 = sqrt.rstrip("\n").split(",")
-        assert fields == ["64", "sqrt", "0.5", "20", "2", "6.6330534929649065",
-                          "5.135732293261448"]
+        # The empirical errors against the dense factor applied to each
+        # trial's noise, scaled by the golden S(64); the theory errors are the
+        # golden norms over mu = 0.5.
+        *fields, err_inf, err_2, theory_inf, theory_2 = sqrt.rstrip("\n").split(",")
+        assert fields == ["64", "sqrt", "0.5", "20", "2"]
+        r = wallis_coeffs(64)
+        dense = np.tril(r[np.subtract.outer(np.arange(64), np.arange(64)) % 64])
+        sigma = math.sqrt(float(GOLDEN[64][0])) / 0.5
+        devs = np.array([dense @ (sigma * _generator(2, t).standard_normal(64))
+                         for t in range(20)])
+        per_coord = np.mean(devs * devs, axis=0)
+        for printed, oracle in ((err_inf, per_coord.max()), (err_2, per_coord.mean())):
+            assert abs(float(printed) / math.sqrt(oracle) - 1) <= 1e-14
         assert_sqrt_report(64, float(theory_inf) / 2, float(theory_2) / 2)
 
 
@@ -832,14 +891,17 @@ class TestWriteFailure:
 class TestOutOfMemory:
     """A failed allocation exits 2 with one line; exit 1 is kept for --check."""
 
-    @pytest.mark.parametrize("argv", [
-        ("metrics", "--method", "sqrt", "--n", "4"),
-        ("sweep", "--methods", "sqrt", "--metrics", "maxse", "--n-max", "8",
-         "--out", "sweep.csv"),
-    ], ids=["metrics", "sweep"])
+    @pytest.mark.parametrize("argv, main_thread", [
+        (("metrics", "--method", "sqrt", "--n", "4"), True),
+        (("sweep", "--methods", "nsr", "--metrics", "maxse", "--n-max", "8",
+          "--out", "sweep.csv"), False),
+        (("sweep", "--methods", "sqrt", "--metrics", "maxse", "--n-max", "8",
+          "--out", "sweep.csv"), True),
+    ], ids=["metrics", "sweep", "sqrt-sweep"])
     @pytest.mark.parametrize("message", ["Unable to allocate 8.00 TiB", ""],
                              ids=["numpy", "bare"])
-    def test_memory_error_exits_2(self, capsys, tmp_path, monkeypatch, argv, message):
+    def test_memory_error_exits_2(self, capsys, tmp_path, monkeypatch, argv, main_thread,
+                                  message):
         threads = []
 
         def exhausted(*args, **kwargs):
@@ -852,8 +914,9 @@ class TestOutOfMemory:
         assert (code, out) == (2, "")
         assert err == f"error: out of memory{': ' + message if message else ''}\n"
         assert list(tmp_path.iterdir()) == []
-        # sweep raises in a pool worker; metrics in the main thread.
-        assert threads and set(threads) == {argv[0] == "metrics"}
+        # An nsr sweep raises in a pool worker; metrics and a sqrt sweep in
+        # the main thread.
+        assert threads and set(threads) == {main_thread}
 
 
 class TestSizeCheckedFirst:

@@ -206,6 +206,16 @@ class TestScaleLaw:
         assert result.theory_err_inf == maxse(f) / 2.0
         assert result.theory_err_2 == meanse(f) / 2.0
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("n", [1, 64, 4097])
+    def test_noise_scale_reads_the_max_column_norm(self, method, n):
+        # sigma reads the scalar the theory errors read (sqrt: the O(1)
+        # S(n)), which the profile's own maximum meets to rounding.
+        f = factorize(method, n)
+        for mu in (0.5, 1.0, 3.0, math.inf):
+            assert noise_scale(f, mu) == math.sqrt(f.max_col_sq_right) / mu
+        assert abs(f.max_col_sq_right / np.max(f.col_norms_sq_right) - 1) <= 1e-14
+
 
 class TestStatistics:
     def test_standardized_deviations_look_normal(self):
