@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequences import _group_algebra_norm_sq, _sqrt_norm_sums, check_size, coefficient_table
+from .sequences import (_group_algebra_norm_sq, _sqrt_norm_sums, check_size, coefficient_table,
+                        wallis_coeffs)
 from .structmat import (
     CirculantSlice,
     LowerTriangularToeplitz,
@@ -176,32 +177,65 @@ def nsr_row_norms_sq(n: int) -> np.ndarray:
 
     Against an extended-precision evaluation on the same coefficient table
     the profile is within 2e-15 of its maximum up to n = 2**20.
+
+    Working set: only d_sq is held through the three FFTs.  r, d and delta
+    build w and are dropped with the table before the first rfft, then
+    re-derived after the irfft (r by wallis_coeffs, as the table's r is, so
+    bit for bit the same); q, s and the profile are formed in place in the
+    rounding order of the formulas above.  The peak, at the second rfft, is
+    ten n-length arrays: d_sq, the two spectra (two each), kappa, and
+    numpy's FFT work buffer (about four, which tracemalloc does not see).
     """
     table = coefficient_table(n)
     r, d_sq = table.r, table.d_sq
+    del table
     h_diag = d_sq[::-1]
     d = np.sqrt(d_sq)
-    # d_i^2 - d_{i+1}^2 = r_{n-1-i}^2, divided out without cancellation.
-    delta = r[n - 1:0:-1] ** 2 / (d[:-1] + d[1:])
+    w = np.arange(2.0, 2.0 * n, 2.0)  # 2 (b + 1) at index b
+    w *= r[1:]
+    w *= _column_gaps(np.square(r), d)
+    del r, d
     # V by one rfft/irfft pair, each array dropped after its last read.  The
     # product is formed in place with rfft(w) on the left: complex products
     # do not commute bit for bit.
     size = fft_length(n)
-    spectrum = np.fft.rfft(2.0 * np.arange(1, n) * r[1:] * delta, size)  # of w
-    kappa = 1.0 / (2.0 * np.arange(n) - 1.0)
+    spectrum = np.fft.rfft(w, size)
+    del w
+    kappa = np.arange(-1.0, 2.0 * n - 2.0, 2.0)  # 2m - 1 at index m
+    np.divide(1.0, kappa, out=kappa)
     kappa[0] = 0.0
     spectrum *= np.fft.rfft(kappa, size)
     del kappa
     v = np.fft.irfft(spectrum, size)[1:n]
     del spectrum
+    r = wallis_coeffs(n)
+    v *= r[1:]
+    d = np.sqrt(d_sq)
+    delta = _column_gaps(np.square(r, out=r), d)
+    del r
     q = np.zeros(n)
-    np.cumsum(delta * h_diag[:-1] - r[1:] * v, out=q[1:])
+    np.multiply(delta, h_diag[:-1], out=q[1:])
+    q[1:] -= v
     del v
+    np.cumsum(q[1:], out=q[1:])
+    q *= 2.0  # exactly, so d * (2q) rounds as (2.0 * d) * q
     s = np.zeros(n)
-    np.cumsum(delta * (2.0 * q[:-1] + delta * h_diag[:-1]), out=s[1:])
-    row_sq = d_sq * h_diag + 2.0 * d * q + s
-    row_sq.setflags(write=False)
-    return row_sq
+    np.multiply(delta, h_diag[:-1], out=s[1:])
+    s[1:] += q[:-1]
+    s[1:] *= delta
+    np.cumsum(s[1:], out=s[1:])
+    d *= q
+    np.multiply(d_sq, h_diag, out=q)
+    q += d
+    s += q  # the profile, d_sq H + 2 d q + S
+    s.setflags(write=False)
+    return s
+
+
+def _column_gaps(r_sq: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """delta_i = d_i - d_{i+1}: d_i^2 - d_{i+1}^2 = r_{n-1-i}^2, divided out."""
+    delta = np.add(d[:-1], d[1:])
+    return np.divide(r_sq[:0:-1], delta, out=delta)
 
 
 def _nsr_operators(n: int) -> tuple[NsrLeft, ColumnScaled]:

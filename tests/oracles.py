@@ -1,6 +1,6 @@
 """Oracles for the group-algebra root spectrum, evaluated from the definition
 of the 2n x 2n circulant extension and independent of countfact's closed
-form.
+form, and a reference evaluation of the NSR row profile.
 
 The extension's first column is n ones followed by n zeros.  Its eigenvalues
 are that column's DFT: n at k = 0, 0 at the other even k, and
@@ -11,6 +11,9 @@ import functools
 
 import mpmath as mp
 import numpy as np
+
+from countfact import coefficient_table
+from countfact.structmat import fft_length
 
 PI_LONGDOUBLE = np.longdouble("3.141592653589793238462643383279502884")
 
@@ -61,3 +64,23 @@ def longdouble_norm_sq(n):
     k = np.arange(1, 2 * n, 2)
     theta = PI_LONGDOUBLE * np.minimum(k, 2 * n - k).astype(np.longdouble) / (2 * n)
     return (n + np.sum(1 / np.sin(theta))) / (2 * n)
+
+
+def nsr_row_norms_sq_out_of_place(n):
+    """The telescoped NSR row profile of countfact.nsr_row_norms_sq, every
+    step a new array and every expression written as in its docstring:
+    the same roundings, in the same order, with no buffer reused, so the
+    two agree bit for bit."""
+    table = coefficient_table(n)
+    r, d_sq = table.r, table.d_sq
+    h_diag = d_sq[::-1]
+    d = np.sqrt(d_sq)
+    delta = r[n - 1:0:-1] ** 2 / (d[:-1] + d[1:])
+    w = 2.0 * np.arange(1, n) * r[1:] * delta
+    kappa = 1.0 / (2.0 * np.arange(n) - 1.0)
+    kappa[0] = 0.0
+    size = fft_length(n)
+    v = np.fft.irfft(np.fft.rfft(w, size) * np.fft.rfft(kappa, size), size)[1:n]
+    q = np.concatenate(([0.0], np.cumsum(delta * h_diag[:-1] - r[1:] * v)))
+    s = np.concatenate(([0.0], np.cumsum(delta * (2.0 * q[:-1] + delta * h_diag[:-1]))))
+    return d_sq * h_diag + 2.0 * d * q + s
