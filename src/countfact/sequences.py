@@ -38,9 +38,12 @@ def check_size(n, minimum: int = 1) -> int:
     return size
 
 
-# Block length of the compensated kernels: their working arrays, 256 KiB
-# each, stay in cache.
-_SUM_BLOCK = 1 << 15
+# Block length of the compensated kernels, which no value depends on: a
+# block only cuts one sequential recursion into pieces.  At 2^14 one sum
+# holds at most five 128 KiB blocks, half what 2^15 holds, as fast: the odd
+# sums for n = 2^2..2^20 took 39-40 ms against 37-44 ms at 2^15 and
+# 40-42 ms at 2^13 (medians of 9, 2-core VM).
+_SUM_BLOCK = 1 << 14
 
 
 def _blocks(values):
@@ -98,9 +101,9 @@ def _odd_cosecant_sum(n: int) -> float:
 
     Each argument is rounded as fl(fl(pi (2l - 1)) / 2n), so every term is
     the one the direct expression 1 / np.sin(np.pi * (2l - 1) / (2n))
-    gives.  Memoized for the last 64 sizes, one float each, more than a
-    geometric sweep visits, so the group-algebra norm and the Mathias bound
-    at one n sum once.
+    gives.  Memoized for the last 64 sizes, one float each: a sweep without
+    nsr points reads the group-algebra norm and the Mathias bound at one n
+    one after the other, so it sums each size once, however many it visits.
     """
     def terms():
         for part in _blocks(range(1, 2 * n, 2)):

@@ -427,7 +427,7 @@ class TestGroupAlgebraFactorization:
     def test_norm_profiles_are_one_read_only_array_cold_and_warm(self):
         # One float stands for both profiles.  Cold, the peak is the odd
         # cosecant sum, which builds its terms one block at a time (measured
-        # 1,313,390 bytes, five blocks); warm, the memoized sum leaves
+        # 658,338 bytes, five blocks); warm, the memoized sum leaves
         # nothing n-long (measured 1,088 bytes).
         n = 2**16
         f = group_algebra_factorization(n)

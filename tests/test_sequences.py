@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from memory import BLOCK_WORKSPACE, traced_peak
+from memory import BLOCK_WORKSPACE, rss_growth, traced_peak
 from numpy.testing import assert_allclose
 
-from countfact import CONSTANTS, coefficient_table, error_report, landau_alpha
+from countfact import CONSTANTS, coefficient_table, error_report, landau_alpha, sequences
+from countfact.bounds import bound_report
 from countfact.cli import sweep_rows
 from countfact.sequences import (
     _SUM_BLOCK,
     _blocks,
     _compensated_sum,
+    _odd_cosecant_sum,
     wallis_coeffs,
 )
 
@@ -284,6 +286,53 @@ class TestStreamedProduct:
         table = coefficient_table(n)
         assert table.d_sq.tobytes() == d_sq.tobytes()
         assert table.r.tobytes() == wallis_coeffs(n).tobytes() == r.tobytes()
+
+
+def blocked_results(n):
+    """Everything the block length cuts into pieces, compared bitwise."""
+    return (wallis_coeffs(n).tobytes(), coefficient_table(n).d_sq.tobytes(),
+            _odd_cosecant_sum.__wrapped__(n))
+
+
+class TestBlockLength:
+    # _SUM_BLOCK sets working memory only: a block cuts one sequential
+    # recursion into pieces, carrying its last sum, error and product.
+    @pytest.mark.parametrize("block", [2**10, 2**15])
+    def test_values_do_not_depend_on_it(self, monkeypatch, block):
+        sizes = [1, block - 1, block, block + 1, 3 * block + 5, 2**20]
+        expected = [blocked_results(n) for n in sizes]
+        monkeypatch.setattr(sequences, "_SUM_BLOCK", block)
+        assert [blocked_results(n) for n in sizes] == expected
+
+    # Peak resident growth of one cold call (the memo bypassed).  Each setup
+    # runs the kernel once at n = 3, so that numpy's code pages, which its
+    # first use maps in amounts that vary with the page cache, fall outside
+    # the growth.  Measured at 2^14 (at 2^15): 324-392 KiB (988-1,152) for
+    # the odd sum, five blocks at most; 944-1,008 KiB (1,520-1,536) for the
+    # table, d_sq and five blocks at most.
+    def test_odd_sum_resident_peak(self):
+        setup = "from countfact.sequences import _odd_cosecant_sum as s; s.__wrapped__(3)"
+        assert rss_growth(setup, "s.__wrapped__(2**20)") <= 640 * 1024
+
+    def test_table_resident_peak(self):
+        setup = "from countfact.sequences import coefficient_table; coefficient_table(3)"
+        assert rss_growth(setup, "coefficient_table(2**16)") <= 1250 * 1024
+
+
+def test_sweep_sums_each_odd_sum_once():
+    # A sweep without nsr points runs n-major, so the group-algebra point and
+    # the Mathias bound at one n meet the memo one after the other, however
+    # many sizes there are.
+    sizes = range(1, 201)
+    _odd_cosecant_sum.cache_clear()
+    rows = sweep_rows(("group-algebra",), ("maxse", "mathias_lb"), sizes)
+    assert _odd_cosecant_sum.cache_info().misses == len(sizes)
+    reports = [(n, error_report("group-algebra", n), bound_report(n)) for n in sizes]
+    assert rows == (
+        [(n, "group-algebra", "maxse", e.maxse, e.maxse_residual, e.predicted_maxse_residual)
+         for n, e, _ in reports]
+        + [(n, "lower-bound", "mathias_lb", b.mathias_lb, b.mathias_residual,
+            b.predicted_mathias_residual) for n, _, b in reports])
 
 
 class TestCompensatedCumsum:
