@@ -5,6 +5,7 @@ the Gaussian mechanism built on them.
 The package namespace is the public surface: the names the acceptance
 tests import and the README's Library section uses.  Everything else is
 reached through its submodule (``countfact.bounds.bound_report``, ...).
+Importing the package loads no numpy: only code that builds arrays does.
 """
 
 from .sequences import CONSTANTS, coefficient_table

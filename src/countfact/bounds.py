@@ -57,27 +57,30 @@ def cosecant_average(n: int) -> tuple[float, float]:
 @dataclass(frozen=True)
 class BoundReport:
     """Both lower bounds at one n, their residuals against log(n)/pi, and
-    the constants the residuals converge to."""
+    the constants the residuals converge to.  A bound that was not asked
+    for reads None, and so does its residual."""
 
     n: int
-    nuclear_lb: float
-    mathias_lb: float
-    nuclear_residual: float
-    mathias_residual: float
+    nuclear_lb: float | None
+    mathias_lb: float | None
+    nuclear_residual: float | None
+    mathias_residual: float | None
     predicted_nuclear_residual: float
     predicted_mathias_residual: float
 
 
-def bound_report(n: int) -> BoundReport:
-    nuclear = nuclear_lower_bound(n)
-    mathias = mathias_lower_bound(n)
+def bound_report(n: int, selected=("nuclear_lb", "mathias_lb")) -> BoundReport:
+    """The bounds named in selected, both by default, at n: a sweep of the
+    O(1) nuclear bound alone skips the Mathias bound's O(n) odd sum."""
+    nuclear = nuclear_lower_bound(n) if "nuclear_lb" in selected else None
+    mathias = mathias_lower_bound(n) if "mathias_lb" in selected else None
     offset = residual_offset(n)
     return BoundReport(
         n=n,
         nuclear_lb=nuclear,
         mathias_lb=mathias,
-        nuclear_residual=nuclear - offset,
-        mathias_residual=mathias - offset,
+        nuclear_residual=None if nuclear is None else nuclear - offset,
+        mathias_residual=None if mathias is None else mathias - offset,
         predicted_nuclear_residual=CONSTANTS.lb_const,
         predicted_mathias_residual=CONSTANTS.mathias_lb_const,
     )

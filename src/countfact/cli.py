@@ -16,8 +16,6 @@ import os
 import sys
 import warnings
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from . import factorizations as fz
 from . import metrics as mt
@@ -113,13 +111,16 @@ def sweep_rows(methods, metrics, sizes):
     def point(task):
         method, n = task
         if method == LOWER_BOUND_METHOD:
-            return _report_rows(n, method, bounds_mod.bound_report(n), bound_metrics)
+            return _report_rows(n, method, bounds_mod.bound_report(n, bound_metrics),
+                                bound_metrics)
         return _report_rows(n, method, mt.error_report(method, n), method_metrics)
 
     point_methods = (list(methods) if method_metrics else []) + (
         [LOWER_BOUND_METHOD] if bound_metrics else [])
     if method_metrics and fz.NSR in methods:
         import concurrent.futures
+
+        import numpy  # noqa: F401 (on the calling thread, before the workers start)
 
         points = [(method, n) for method in point_methods for n in sizes]
         with concurrent.futures.ThreadPoolExecutor(pool_size()) as pool:
@@ -259,6 +260,7 @@ def cmd_coeffs(args) -> list[str] | None:
 
 
 def _coeff_checks(table) -> list[str]:
+    import numpy as np
     failures = []
     if table.r[0] != 1.0 or np.any(np.diff(table.r) >= 0):
         failures.append("r must start at 1 and be strictly decreasing")
@@ -305,7 +307,7 @@ def cmd_factorize(args) -> list[str] | None:
     ])
     if args.dump:
         for path, mat in zip(_dump_paths(args.dump), (f.left, f.right)):
-            _write_csv(path, None, map(np.ndarray.tolist, mat.to_dense()))
+            _write_csv(path, None, (row.tolist() for row in mat.to_dense()))
             print(f"wrote {path}")
     if not args.check:
         return None
@@ -314,6 +316,7 @@ def cmd_factorize(args) -> list[str] | None:
     if deviation > 1e-9:
         failures.append(f"reconstruction deviates by {deviation:.3e}")
     if args.method == fz.NSR:
+        import numpy as np
         right = f.right.to_dense()
         gap = np.abs(np.einsum("jk,jk->k", right, right) - 1.0).max()
         if gap > 1e-12:
@@ -354,6 +357,7 @@ def _metric_checks(report, closed_form) -> list[str]:
     if report.method == fz.SQRT:
         oracle, tol = closed_form, 1e-12
     elif report.method == fz.GROUP_ALGEBRA:
+        import numpy as np
         column = fz.factorize(fz.GROUP_ALGEBRA, report.n).left.col
         oracle, tol = math.fsum(np.square(column)), 1e-9
     else:
@@ -376,6 +380,7 @@ def cmd_bounds(args) -> list[str] | None:
     if args.n >= 2 and report.nuclear_lb < report.mathias_lb:
         failures.append("nuclear bound fell below the weaker bound")
     if args.n <= 32:
+        import numpy as np
         singular = np.linalg.svd(counting_matrix(args.n), compute_uv=False)
         oracle = float(singular.sum()) / args.n
         if abs(oracle - report.nuclear_lb) > 1e-8:
@@ -451,6 +456,7 @@ def _sweep_checks(rows) -> list[str]:
 
 
 def cmd_simulate(args) -> list[str] | None:
+    import numpy as np
     check_parameters(args.mu, args.trials, args.seed)
     if args.input == "zeros":
         x = np.zeros(args.n)

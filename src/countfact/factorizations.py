@@ -23,8 +23,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .sequences import (_group_algebra_norm_sq, _sqrt_norm_sums, check_size, coefficient_table,
                         wallis_coeffs)
@@ -35,6 +34,9 @@ from .structmat import (
     counting_matrix,
     fft_length,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SQRT = "sqrt"
 NSR = "nsr"
@@ -52,6 +54,7 @@ class ColumnScaled(LowerTriangularToeplitz):
         self.scale = scale
 
     def apply(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
         return super().apply(np.asarray(x) / self.scale)
 
     def to_dense(self) -> np.ndarray:
@@ -73,9 +76,11 @@ class NsrLeft(LowerTriangularToeplitz):
         self.d = d
 
     def apply(self, y: np.ndarray) -> np.ndarray:
+        import numpy as np
         return np.cumsum(self.d * self._convolve(y)[: self.n])
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
         # Rows scaled by D, then summed down by M; the +0.0 entries above the
         # diagonal leave each column's running sum bit for bit unchanged.
         return np.cumsum(self.d[:, None] * super().to_dense(), axis=0)
@@ -186,6 +191,7 @@ def nsr_row_norms_sq(n: int) -> np.ndarray:
     ten n-length arrays: d_sq, the two spectra (two each), kappa, and
     numpy's FFT work buffer (about four, which tracemalloc does not see).
     """
+    import numpy as np
     table = coefficient_table(n)
     r, d_sq = table.r, table.d_sq
     del table
@@ -234,11 +240,13 @@ def nsr_row_norms_sq(n: int) -> np.ndarray:
 
 def _column_gaps(r_sq: np.ndarray, d: np.ndarray) -> np.ndarray:
     """delta_i = d_i - d_{i+1}: d_i^2 - d_{i+1}^2 = r_{n-1-i}^2, divided out."""
+    import numpy as np
     delta = np.add(d[:-1], d[1:])
     return np.divide(r_sq[:0:-1], delta, out=delta)
 
 
 def _nsr_operators(n: int) -> tuple[NsrLeft, ColumnScaled]:
+    import numpy as np
     table = coefficient_table(n)
     d = np.sqrt(table.d_sq)
     return NsrLeft(table.rtilde, d), ColumnScaled(table.r, d)
@@ -249,6 +257,7 @@ def nsr_factorization(n: int) -> Factorization:
     factor M D C^{-1} carries all the norm growth.  The row-norm profile
     is computed at once, and the scalars read from it; the operators build
     their own coefficient table."""
+    import numpy as np
     row_sq = nsr_row_norms_sq(n)
     return Factorization(
         method=NSR,
@@ -276,6 +285,11 @@ def group_algebra_factorization(n: int) -> Factorization:
     """
     full = _group_algebra_norm_sq(n)
     spectrum = functools.partial(circulant_half_spectrum, n)
+
+    def profiles():
+        import numpy as np
+        return (np.broadcast_to(full, n),) * 2  # read-only, one float for every entry
+
     return Factorization(
         method=GROUP_ALGEBRA,
         n=n,
@@ -283,8 +297,7 @@ def group_algebra_factorization(n: int) -> Factorization:
         max_row_sq_left=full,
         max_col_sq_right=full,
         frobenius_sq_left=n * full,
-        # read-only, one float for every entry
-        profiles=lambda: (np.broadcast_to(full, n),) * 2,
+        profiles=profiles,
         operators=lambda: (CirculantSlice((n, 2 * n), 2 * n, spectrum),
                            CirculantSlice((2 * n, n), 2 * n, spectrum)),
     )
@@ -311,5 +324,6 @@ def verify_reconstruction(factorization: Factorization) -> float:
 
     Dense verification: to_dense refuses n above DENSE_BUDGET.
     """
+    import numpy as np
     product = factorization.left.to_dense() @ factorization.right.to_dense()
     return float(np.abs(product - counting_matrix(factorization.n)).max())

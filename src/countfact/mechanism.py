@@ -16,11 +16,13 @@ import math
 import operator
 import os
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .factorizations import Factorization
 from .metrics import maxse, meanse
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Trials whose noise is shorter than this run on the calling thread: numpy
@@ -71,6 +73,7 @@ class MechanismConfig:
     input: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
         check_parameters(self.mu, self.trials, self.seed)
         x = np.asarray(self.input, dtype=np.float64)
         if x.shape != (self.factorization.n,):
@@ -99,6 +102,7 @@ class SimulationResult:
 
 
 def _generator(seed: int, trial_index: int) -> np.random.Generator:
+    import numpy as np
     # Philox is counter-based: keying it with the 128-bit word
     # (trial_index << 64) | seed yields an independent, reproducible
     # stream per (seed, trial) with no sequential state.
@@ -141,6 +145,7 @@ def estimate_errors(cfg: MechanismConfig) -> SimulationResult:
     bit-identical results at any number of threads.  A mu so small that
     sigma or the squared deviations overflow raises ValueError.
     """
+    import numpy as np  # on the calling thread, before the workers start
     f = cfg.factorization
     n, inner_dim = f.n, f.inner_dim
     sigma = noise_scale(f, cfg.mu)

@@ -19,8 +19,10 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Hard-coded at 17 significant digits; no series evaluation needed.
 EULER_GAMMA = 0.5772156649015329
@@ -71,6 +73,7 @@ def _compensated_sum(blocks, out=None) -> float:
     three working arrays one block long.  The corrected running sums go to
     ``out`` when given (any view, a reversed one too).
     """
+    import numpy as np
     p, e, z = np.empty(_SUM_BLOCK + 1), np.empty(_SUM_BLOCK + 1), np.empty(_SUM_BLOCK)
     total = error = 0.0
     start = 0
@@ -105,6 +108,8 @@ def _odd_cosecant_sum(n: int) -> float:
     nsr points reads the group-algebra norm and the Mathias bound at one n
     one after the other, so it sums each size once, however many it visits.
     """
+    import numpy as np
+
     def terms():
         for part in _blocks(range(1, 2 * n, 2)):
             t = np.arange(part.start, part.stop, part.step, dtype=np.float64)
@@ -131,6 +136,7 @@ def _wallis_blocks(n: int):
     last product of the block before, and is then one running product: the
     multiplications of one whole-array running product, in its order.
     """
+    import numpy as np
     size = min(n, _SUM_BLOCK)
     odd = np.arange(-1.0, 2.0 * size - 2.0, 2.0)  # 2k - 1 at index k of the block
     work = np.empty(size)
@@ -156,6 +162,7 @@ def wallis_coeffs(n: int) -> np.ndarray:
 
         1 / (pi (k + 4/pi - 1)) <= r_k^2 <= 1 / (pi (k + 1/4)),  k >= 1.
     """
+    import numpy as np
     n = check_size(n)
     r = np.empty(n)
     for out, block in zip(_blocks(r), _wallis_blocks(n)):
@@ -195,11 +202,15 @@ def _sqrt_norm_sums(n: int) -> tuple[float, float]:
         W(n) = (n + 1/4) S(n) - n^2 r_n^2,
 
     read from the two series above; below _SERIES_FLOOR both sums are the
-    math.fsum of the running product's terms.
+    math.fsum of the terms of wallis_coeffs' running product, formed in the
+    same order in plain floats.
     """
     if n < _SERIES_FLOOR:
-        r_sq = wallis_coeffs(n) ** 2
-        return math.fsum(r_sq), math.fsum((n - np.arange(n)) * r_sq)
+        r_sq, r = [1.0], 1.0
+        for k in range(1, n):
+            r *= (2 * k - 1) / (2 * k)
+            r_sq.append(r * r)
+        return math.fsum(r_sq), math.fsum((n - k) * t for k, t in enumerate(r_sq))
     x = 1.0 / n
     s = math.log(n) + (EULER_GAMMA + math.log(16.0)) + _polyval(_S_SERIES, x)
     s /= math.pi
@@ -271,6 +282,7 @@ class CoefficientTable:
 
     @functools.cached_property
     def rtilde(self) -> np.ndarray:
+        import numpy as np
         rtilde = np.arange(-1.0, 2.0 * self.n - 2.0, 2.0)  # 2j - 1 at index j
         np.divide(self.r, rtilde, out=rtilde)
         np.negative(rtilde, out=rtilde)  # rtilde[0] = -(1 / -1) = 1
@@ -279,6 +291,7 @@ class CoefficientTable:
 
     @functools.cached_property
     def alpha(self) -> np.ndarray:
+        import numpy as np
         alpha = np.arange(1.0, self.n + 1.0)  # m at index m - 1
         np.log(alpha, out=alpha)
         alpha /= math.pi
@@ -300,6 +313,7 @@ def coefficient_table(n: int) -> CoefficientTable:
     at a time, so only d_sq is n long.  The table is immutable and safe to
     share across threads.
     """
+    import numpy as np
     n = check_size(n)
     d_sq = np.empty(n)
     _compensated_sum((np.multiply(r, r, out=r) for r in _wallis_blocks(n)), out=d_sq[::-1])

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import functools
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .sequences import check_size
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Largest n for which dense n x n factors are ever materialized.
 DENSE_BUDGET = 4096
@@ -51,11 +53,13 @@ class CirculantSlice:
 
     @functools.cached_property
     def col(self) -> np.ndarray:
+        import numpy as np
         col = np.fft.irfft(self.spectrum, self.fft_size)
         col.setflags(write=False)
         return col
 
     def _convolve(self, x: np.ndarray) -> np.ndarray:
+        import numpy as np
         # rfft would silently truncate a longer input or pad a shorter one.
         if np.shape(x) != (self.shape[1],):
             raise ValueError(f"input must have shape ({self.shape[1]},), got {np.shape(x)}")
@@ -66,6 +70,7 @@ class CirculantSlice:
         return self._convolve(x)[: self.shape[0]]
 
     def to_dense(self) -> np.ndarray:
+        import numpy as np
         return circulant_block(np.pad(self.col, (0, self.fft_size - self.col.size)),
                                self.shape)
 
@@ -81,6 +86,7 @@ class LowerTriangularToeplitz(CirculantSlice):
     """
 
     def __init__(self, col):
+        import numpy as np
         col = np.asarray(col, dtype=np.float64)
         if col.flags.writeable:  # a read-only float64 column is shared
             col = col.copy()
@@ -95,6 +101,7 @@ class LowerTriangularToeplitz(CirculantSlice):
 def counting_matrix(n: int) -> np.ndarray:
     """Dense n x n lower-triangular all-ones (prefix-sum) matrix: the n x n
     block of its 2n-point circulant extension, refused above DENSE_BUDGET."""
+    import numpy as np
     n = check_size(n)
     return circulant_block(np.repeat([1.0, 0.0], n), (n, n))
 
@@ -115,6 +122,7 @@ def circulant_half_spectrum(n: int) -> np.ndarray:
     real.  The roots of the bins above n are the conjugates of these, so the
     root circulant is real.
     """
+    import numpy as np
     n = check_size(n)
     k = np.arange(1, n + 1, 2)
     scale = np.pi * k
@@ -146,6 +154,7 @@ def circulant_block(col: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     at (-1 - j) mod col.size, so the block is copied row by row from a view
     of those windows, with one index per row.
     """
+    import numpy as np
     rows, cols = shape
     if min(rows, cols) > DENSE_BUDGET:
         raise ValueError(f"refusing dense {rows} x {cols} matrix (budget n <= {DENSE_BUDGET})")

@@ -80,10 +80,16 @@ def record(argv, directory: Path) -> dict:
             code = cli.main(list(argv))
     finally:
         os.chdir(cwd)
+    return digests(code, out.getvalue(), err.getvalue(), directory)
+
+
+def digests(code: int, stdout: str, stderr: str, directory: Path) -> dict:
+    """The record of a run that exited with code, printed stdout and stderr
+    and wrote the files in directory."""
     files = {path.relative_to(directory).as_posix(): _sha256(path.read_bytes())
              for path in sorted(directory.rglob("*")) if path.is_file()}
-    return {"exit": code, "stdout": _sha256(out.getvalue().encode()),
-            "stderr": _sha256(err.getvalue().encode()), "files": files}
+    return {"exit": code, "stdout": _sha256(stdout.encode()),
+            "stderr": _sha256(stderr.encode()), "files": files}
 
 
 def platform_key() -> dict:

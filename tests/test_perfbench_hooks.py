@@ -6,6 +6,9 @@ its layer's metrics, and an argument that loses the attribute a span reads
 crashes the traced benchmark run; both show up here first.
 """
 
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,3 +99,33 @@ def test_inherited_apply_recorded_under_the_runtime_class():
         op.apply(np.ones(3))
     assert [(span.name, span.attrs) for span in recorder.spans] == [
         ("structmat.apply", {"cls": "LowerTriangularToeplitz", "n": 3})]
+
+
+def test_spans_recorded_when_only_the_cli_is_imported_first(tmp_path):
+    # perfbench's in-process round imports countfact.cli alone before it
+    # installs the spans, and Instrumentation patches only the countfact
+    # modules loaded by then; the fixture above imports more itself.  A
+    # module the package loaded late would lose its spans here.
+    argvs = [
+        ["sweep", "--n-max", "64", "--out", str(tmp_path / "sweep.csv"),
+         "--svg", str(tmp_path / "sweep.svg")],
+        *(["simulate", "--method", method, "--n", "64", "--trials", "3"]
+          for method in ("nsr", "group-algebra")),
+    ]
+    code = f"""\
+import json, sys
+sys.path.insert(0, {str(Path(__file__).resolve().parents[1])!r})
+from perfbench import tracing
+import countfact.cli
+tracing.clear_caches()
+recorder = tracing.Recorder()
+with tracing.Instrumentation(recorder):
+    codes = [countfact.cli.main(argv) for argv in {argvs!r}]
+print(json.dumps([codes, sorted({{span.name for span in recorder.spans}})]))
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    codes, names = json.loads(result.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0]
+    assert set(LAYERS) | {"structmat.apply"} <= set(names)
