@@ -3,6 +3,9 @@
 Subcommands: coeffs, factorize, metrics, bounds, sweep, simulate.
 Exit codes: 0 success, 1 invariant violation under --check, 2 usage or write
 error or out of memory.
+--check records are (what, measured, bound); each passes only if measured <=
+bound, so a NaN fails.  Every failing one prints "CHECK FAIL [command] what:
+measured > bound" (.3e) to stderr or, if none fails, "CHECK OK [command]" to stdout.
 All numeric output is emitted at 17 significant digits with a '.' decimal
 separator, which round-trips float64 bitwise.
 """
@@ -55,13 +58,20 @@ def _print_report(report, extras) -> None:
                   for field in dataclasses.fields(report)] + list(extras))
 
 
-def _run_checks(label: str, failures: list[str]) -> int:
-    if failures:
-        for message in failures:
-            print(f"CHECK FAIL [{label}] {message}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(f"CHECK OK [{label}]")
-    return EXIT_OK
+def _run_checks(label: str, records) -> int:
+    """The one judge of (what, measured, bound) records: each fails unless
+    measured <= bound, which a NaN never is."""
+    failed = [record for record in records if not record[1] <= record[2]]
+    for what, measured, bound in failed:
+        print(f"CHECK FAIL [{label}] {what}: {measured:.3e} > {bound:.3e}", file=sys.stderr)
+    if not failed:
+        print(f"CHECK OK [{label}]")
+    return EXIT_CHECK_FAILED if failed else EXIT_OK
+
+
+def _misses(holds) -> int:
+    """How many entries of a comparison's array are False; a NaN compares False."""
+    return holds.size - int(holds.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +256,7 @@ def write_sweep_svg(path: str, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def cmd_coeffs(args) -> list[str] | None:
+def cmd_coeffs(args) -> list[tuple] | None:
     table = coefficient_table(args.n)
     columns = (table.r, table.rtilde, table.d_sq, table.alpha)
     rows = list(zip(range(args.n), *(c.tolist() for c in columns)))
@@ -259,37 +269,34 @@ def cmd_coeffs(args) -> list[str] | None:
     return _coeff_checks(table) if args.check else None
 
 
-def _coeff_checks(table) -> list[str]:
+def _coeff_checks(table) -> list[tuple]:
     import numpy as np
-    failures = []
-    if table.r[0] != 1.0 or np.any(np.diff(table.r) >= 0):
-        failures.append("r must start at 1 and be strictly decreasing")
+    r, d_sq, alpha = table.r, table.d_sq, table.alpha
     k = np.arange(1, table.n)
-    r_sq = table.r[1:] ** 2
+    r_sq = r[1:] ** 2
     lower = 1.0 / (np.pi * (k + 4.0 / np.pi - 1.0))
     upper = 1.0 / (np.pi * (k + 0.25))
-    if np.any(r_sq < lower * (1 - 1e-12)) or np.any(r_sq > upper * (1 + 1e-12)):
-        failures.append("squared coefficients violate the Wallis sandwich")
-    prefix_gap = np.abs(np.cumsum(table.rtilde) - table.r).max()
-    if prefix_gap > 1e-13:
-        failures.append(f"prefix sums of rtilde deviate from r by {prefix_gap:.3e}")
-    if table.d_sq[-1] != 1.0 or np.any(np.diff(table.d_sq) >= 0):
-        failures.append("d_sq must be strictly decreasing and end at 1")
-    diff = table.d_sq[:-1] - table.d_sq[1:]
-    if np.any(np.abs(diff - r_sq[::-1]) > 1e-14 * table.d_sq[:-1]):
-        failures.append("adjacent d_sq differences do not match squared coefficients")
-    if np.any(np.diff(table.alpha) <= 0):
-        failures.append("alpha must be strictly increasing")
-    if np.any(table.alpha < 1.0 - 1e-12) or np.any(table.alpha > 1.0663):
-        failures.append("alpha left the interval [1, 1.0663]")
-    return failures
+    gaps = np.abs(d_sq[:-1] - d_sq[1:] - r_sq[::-1])
+    return [
+        ("|r[0] - 1|", abs(r[0] - 1.0), 0),
+        ("r entries not below the one before", _misses(np.diff(r) < 0), 0),
+        ("r^2 entries outside the Wallis sandwich",
+         _misses((r_sq >= lower * (1 - 1e-12)) & (r_sq <= upper * (1 + 1e-12))), 0),
+        ("max |cumsum(rtilde) - r|", np.abs(np.cumsum(table.rtilde) - r).max(), 1e-13),
+        ("|d_sq[n-1] - 1|", abs(d_sq[-1] - 1.0), 0),
+        ("d_sq entries not below the one before", _misses(np.diff(d_sq) < 0), 0),
+        ("d_sq steps off r^2 by more than 1e-14 d_sq", _misses(gaps <= 1e-14 * d_sq[:-1]), 0),
+        ("alpha entries not above the one before", _misses(np.diff(alpha) > 0), 0),
+        ("alpha entries outside [1 - 1e-12, 1.0663]",
+         _misses((alpha >= 1.0 - 1e-12) & (alpha <= 1.0663)), 0),
+    ]
 
 
 def _dump_paths(prefix: str) -> tuple[str, str]:
     return f"{prefix}_left.csv", f"{prefix}_right.csv"
 
 
-def cmd_factorize(args) -> list[str] | None:
+def cmd_factorize(args) -> list[tuple] | None:
     # Both build dense matrices; refused before the factorization is built.
     for flag in ("dump", "check"):
         if getattr(args, flag) and args.n > DENSE_BUDGET:
@@ -311,20 +318,16 @@ def cmd_factorize(args) -> list[str] | None:
             print(f"wrote {path}")
     if not args.check:
         return None
-    failures = []
-    deviation = fz.verify_reconstruction(f)
-    if deviation > 1e-9:
-        failures.append(f"reconstruction deviates by {deviation:.3e}")
+    records = [("max |left @ right - counting matrix|", fz.verify_reconstruction(f), 1e-9)]
     if args.method == fz.NSR:
         import numpy as np
         right = f.right.to_dense()
-        gap = np.abs(np.einsum("jk,jk->k", right, right) - 1.0).max()
-        if gap > 1e-12:
-            failures.append(f"right-factor columns deviate from unit norm by {gap:.3e}")
-    return failures
+        records.append(("max |right column norm^2 - 1|",
+                        np.abs(np.einsum("jk,jk->k", right, right) - 1.0).max(), 1e-12))
+    return records
 
 
-def cmd_metrics(args) -> list[str] | None:
+def cmd_metrics(args) -> list[tuple] | None:
     report = mt.error_report(args.method, args.n)
     closed_form, extras = None, []
     if args.method == fz.SQRT:
@@ -338,19 +341,15 @@ def cmd_metrics(args) -> list[str] | None:
     return _metric_checks(report, closed_form) if args.check else None
 
 
-def _point_checks(maxse: float, meanse: float | None, nuclear: float) -> list[str]:
+def _point_checks(maxse: float, meanse: float | None, nuclear: float, at="") -> list[tuple]:
     """The orderings at one (method, n) point; a meanse of None is skipped."""
-    failures = []
-    if meanse is not None and meanse > maxse * (1 + 1e-12):
-        failures.append("meanse exceeds maxse")
-    if nuclear > maxse * (1 + 1e-9):
-        failures.append("nuclear lower bound exceeds maxse")
-    return failures
+    records = [] if meanse is None else [(f"meanse vs maxse{at}", meanse, maxse * (1 + 1e-12))]
+    return records + [(f"nuclear_lb vs maxse{at}", nuclear, maxse * (1 + 1e-9))]
 
 
-def _metric_checks(report, closed_form) -> list[str]:
-    failures = _point_checks(report.maxse, report.meanse,
-                             bounds_mod.nuclear_lower_bound(report.n))
+def _metric_checks(report, closed_form) -> list[tuple]:
+    records = _point_checks(report.maxse, report.meanse,
+                            bounds_mod.nuclear_lower_bound(report.n))
     # The group-algebra norm is stored as its closed form, so its oracle is
     # the squared norm of the operator's column: one irfft of the half
     # spectrum, which a factorization builds only when asked.
@@ -361,14 +360,12 @@ def _metric_checks(report, closed_form) -> list[str]:
         column = fz.factorize(fz.GROUP_ALGEBRA, report.n).left.col
         oracle, tol = math.fsum(np.square(column)), 1e-9
     else:
-        return failures
-    rel = abs(report.maxse - oracle) / oracle
-    if rel > tol:
-        failures.append(f"direct maxse deviates from its oracle by {rel:.3e}")
-    return failures
+        return records
+    return records + [("relative deviation of maxse from its oracle",
+                       abs(report.maxse - oracle) / oracle, tol)]
 
 
-def cmd_bounds(args) -> list[str] | None:
+def cmd_bounds(args) -> list[tuple] | None:
     report = bounds_mod.bound_report(args.n)
     # G(n) is defined from n = 2 on.
     _print_report(report, zip(("g_n", "g_n_predicted"), bounds_mod.cosecant_average(args.n))
@@ -376,16 +373,15 @@ def cmd_bounds(args) -> list[str] | None:
     _append_rows(args, _report_rows(args.n, LOWER_BOUND_METHOD, report, BOUND_METRICS))
     if not args.check:
         return None
-    failures = []
-    if args.n >= 2 and report.nuclear_lb < report.mathias_lb:
-        failures.append("nuclear bound fell below the weaker bound")
+    records = []
+    if args.n >= 2:
+        records.append(("mathias_lb vs nuclear_lb", report.mathias_lb, report.nuclear_lb))
     if args.n <= 32:
         import numpy as np
         singular = np.linalg.svd(counting_matrix(args.n), compute_uv=False)
-        oracle = float(singular.sum()) / args.n
-        if abs(oracle - report.nuclear_lb) > 1e-8:
-            failures.append("cosecant sum disagrees with the SVD oracle")
-    return failures
+        records.append(("|SVD nuclear norm / n - nuclear_lb|",
+                        abs(float(singular.sum()) / args.n - report.nuclear_lb), 1e-8))
+    return records
 
 
 def _writable(path: str) -> bool:
@@ -418,7 +414,7 @@ def _name_list(text: str, kind: str, known) -> list[str]:
     return names
 
 
-def cmd_sweep(args) -> list[str] | None:
+def cmd_sweep(args) -> list[tuple] | None:
     methods = _name_list(args.methods, "method", fz.METHODS)
     metrics = _name_list(args.metrics, "metric", mt.METRICS + BOUND_METRICS)
     sizes = sweep_sizes(args.n_min, args.n_max, args.geometric)
@@ -434,9 +430,9 @@ def cmd_sweep(args) -> list[str] | None:
     return _sweep_checks(rows) if args.check else None
 
 
-def _sweep_checks(rows) -> list[str]:
+def _sweep_checks(rows) -> list[tuple]:
     """Ordering invariants at every sweep point."""
-    failures = []
+    records = []
     by_point: dict[tuple[str, int], dict[str, float]] = {}
     sizes = set()
     for n, method, metric, value, _residual, _predicted in rows:
@@ -445,17 +441,17 @@ def _sweep_checks(rows) -> list[str]:
     nuclear = {n: bounds_mod.nuclear_lower_bound(n) for n in sizes}
     for (method, n), values in sorted(by_point.items()):
         if method != LOWER_BOUND_METHOD and mt.MAXSE in values:
-            checks = _point_checks(values[mt.MAXSE], values.get(mt.MEANSE), nuclear[n])
-            failures += [f"{message} at ({method}, {n})" for message in checks]
+            records += _point_checks(values[mt.MAXSE], values.get(mt.MEANSE), nuclear[n],
+                                     f" at ({method}, {n})")
     for n in sorted(sizes):
         nsr_v = by_point.get((fz.NSR, n), {}).get(mt.MAXSE)
         sqrt_v = by_point.get((fz.SQRT, n), {}).get(mt.MAXSE)
-        if n >= 4 and nsr_v is not None and sqrt_v is not None and nsr_v > sqrt_v:
-            failures.append(f"normalized maxse above plain square root at n = {n}")
-    return failures
+        if n >= 4 and nsr_v is not None and sqrt_v is not None:
+            records.append((f"nsr maxse vs sqrt maxse at n = {n}", nsr_v, sqrt_v))
+    return records
 
 
-def cmd_simulate(args) -> list[str] | None:
+def cmd_simulate(args) -> list[tuple] | None:
     import numpy as np
     check_parameters(args.mu, args.trials, args.seed)
     if args.input == "zeros":
@@ -496,18 +492,16 @@ def cmd_simulate(args) -> list[str] | None:
     _append_rows(args, [values])
     if not args.check:
         return None
-    failures = []
+    records = []
     if standardized:
-        mean_bound, var_low, var_high = _z_bands(args.trials, args.n)
-        if np.abs(result.z_mean).max() >= mean_bound:
-            failures.append("standardized deviations have biased mean")
-        if result.z_var.min() <= var_low or result.z_var.max() >= var_high:
-            failures.append("standardized deviations have off-unit variance")
+        mean_bound, low, high = _z_bands(args.trials, args.n)
+        z_mean, z_var = np.abs(result.z_mean), result.z_var
+        records += [("|z_mean| entries not below the bound", _misses(z_mean < mean_bound), 0),
+                    ("z_var entries outside the band", _misses((z_var > low) & (z_var < high)), 0)]
     rerun = estimate_errors(cfg)
-    if (rerun.empirical_err_inf != result.empirical_err_inf
-            or rerun.empirical_err_2 != result.empirical_err_2):
-        failures.append("rerun with the identical seed was not bit-identical")
-    return failures
+    return records + [("errors that differ on a same-seed rerun",
+                       (rerun.empirical_err_inf != result.empirical_err_inf)
+                       + (rerun.empirical_err_2 != result.empirical_err_2), 0)]
 
 
 def _z_bands(trials: int, n: int) -> tuple[float, float, float]:
@@ -554,7 +548,7 @@ _APPENDED_HEADER = {"metrics": SWEEP_HEADER, "bounds": SWEEP_HEADER,
                     "simulate": SIMULATE_HEADER}
 
 # name -> (handler, help, flags in --help order).  A handler returns its
-# --check failures, or None when --check is not given.
+# --check records, or None when --check is not given.
 COMMANDS = {
     "coeffs": (cmd_coeffs, "print the coefficient table at size n", (
         _N, _CHECK,
@@ -627,8 +621,8 @@ def main(argv=None) -> int:
         if header and args.csv and _starts_without(args.csv, header):
             raise UsageError(f"--csv {args.csv} does not start with the "
                              f"{args.command} header {','.join(header)}")
-        failures = COMMANDS[args.command][0](args)
-        return EXIT_OK if failures is None else _run_checks(args.command, failures)
+        records = COMMANDS[args.command][0](args)
+        return EXIT_OK if records is None else _run_checks(args.command, records)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -127,10 +127,14 @@ def sqrt_factorization(n: int) -> Factorization:
     """Square-root factorization C @ C: both factors are one operator, so
     the max row norm and max column norm coincide, at S(n) = d_sq[0].  The
     scalars come from sequences._sqrt_norm_sums in O(1).  The profiles
-    (d_sq, reversed for the rows) and the operator (column r) read one
-    coefficient table, built on the first read of either."""
+    (d_sq, reversed for the rows) and the operator (column r) each build
+    their own coefficient table, on their first read."""
     s, w = _sqrt_norm_sums(n)
-    table = functools.cache(functools.partial(coefficient_table, n))
+
+    def profiles():
+        d_sq = coefficient_table(n).d_sq
+        return d_sq[::-1], d_sq  # row j: the first j+1 coefficients
+
     return Factorization(
         method=SQRT,
         n=n,
@@ -138,9 +142,8 @@ def sqrt_factorization(n: int) -> Factorization:
         max_row_sq_left=s,
         max_col_sq_right=s,
         frobenius_sq_left=w,
-        # row j: the first j+1 coefficients
-        profiles=lambda: (table().d_sq[::-1], table().d_sq),
-        operators=lambda: (LowerTriangularToeplitz(table().r),) * 2,
+        profiles=profiles,
+        operators=lambda: (LowerTriangularToeplitz(coefficient_table(n).r),) * 2,
     )
 
 

@@ -33,6 +33,27 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+CHECK_FAIL = re.compile(r"CHECK FAIL \[([a-z]+)\] (.+): (\S+) > (\S+)")
+
+
+def check_failures(err):
+    """(label, what, measured, bound) of each line of err, every one a
+    CHECK FAIL line whose record broke the rule: measured > bound, or a NaN
+    measured."""
+    records = []
+    for line in err.splitlines():
+        label, what, measured, bound = CHECK_FAIL.fullmatch(line).groups()
+        measured, bound = float(measured), float(bound)
+        assert measured > bound or math.isnan(measured), line
+        records.append((label, what, measured, bound))
+    return records
+
+
+def failed_checks(err):
+    """The (label, what) of each CHECK FAIL line of err."""
+    return [(label, what) for label, what, _, _ in check_failures(err)]
+
+
 def assert_sqrt_report(n, maxse, meanse, maxse_residual=None, meanse_residual=None):
     """Printed sqrt norms (strings) within 1e-15 of the golden sums, and
     residuals, when given, the norms less log(n)/pi to the last bit."""
@@ -81,32 +102,36 @@ class TestCoeffs:
         assert path.read_text().count("k,r,rtilde,d_sq,alpha\n") == 1
 
     # Each doctored column, one entry scaled, breaks one documented property
-    # of the table; the rest of the table is the real one.
-    @pytest.mark.parametrize("n, field, index, factor, message", [
-        (1, "r", 0, 2.0, "r must start at 1 and be strictly decreasing"),
-        (8, "r", 0, 2.0, "r must start at 1 and be strictly decreasing"),
-        (8, "r", 3, 1.25, "r must start at 1 and be strictly decreasing"),
-        (8, "r", 7, 0.5, "squared coefficients violate the Wallis sandwich"),
-        (8, "rtilde", 7, 1.0 + 1e-9, "prefix sums of rtilde deviate from r by "),
-        (1, "d_sq", 0, 1.5, "d_sq must be strictly decreasing and end at 1"),
-        (8, "d_sq", 7, 1.5, "d_sq must be strictly decreasing and end at 1"),
-        (8, "d_sq", 0, 1.0 + 1e-12,
-         "adjacent d_sq differences do not match squared coefficients"),
-        (8, "alpha", 2, 0.98, "alpha must be strictly increasing"),
-        (1, "alpha", 0, 1.07, "alpha left the interval [1, 1.0663]"),
-        (8, "alpha", 7, 1.02, "alpha left the interval [1, 1.0663]"),
+    # of the table; the rest of the table is the real one.  A factor of None
+    # sets the entry equal to the one before: a tie is no strict step.
+    @pytest.mark.parametrize("n, field, index, factor, what", [
+        (1, "r", 0, 2.0, "|r[0] - 1|"),
+        (8, "r", 0, 2.0, "|r[0] - 1|"),
+        (8, "r", 3, 1.25, "r entries not below the one before"),
+        (8, "r", 7, 0.5, "r^2 entries outside the Wallis sandwich"),
+        (8, "rtilde", 7, 1.0 + 1e-9, "max |cumsum(rtilde) - r|"),
+        (1, "d_sq", 0, 1.5, "|d_sq[n-1] - 1|"),
+        (8, "d_sq", 7, 1.5, "|d_sq[n-1] - 1|"),
+        (8, "d_sq", 0, 1.0 + 1e-12, "d_sq steps off r^2 by more than 1e-14 d_sq"),
+        (8, "alpha", 2, 0.98, "alpha entries not above the one before"),
+        (1, "alpha", 0, 1.07, "alpha entries outside [1 - 1e-12, 1.0663]"),
+        (8, "alpha", 7, 1.02, "alpha entries outside [1 - 1e-12, 1.0663]"),
+        (8, "r", 4, None, "r entries not below the one before"),
+        (8, "d_sq", 4, None, "d_sq entries not below the one before"),
+        (8, "alpha", 4, None, "alpha entries not above the one before"),
     ])
     def test_check_fails_on_a_doctored_table(self, capsys, monkeypatch, n, field, index,
-                                             factor, message):
+                                             factor, what):
         table = sequences.coefficient_table(n)
         columns = {name: getattr(table, name).copy()
                    for name in ("r", "rtilde", "d_sq", "alpha")}
-        columns[field][index] *= factor
+        column = columns[field]
+        column[index] = column[index - 1] if factor is None else column[index] * factor
         monkeypatch.setattr(cli, "coefficient_table",
                             lambda size: types.SimpleNamespace(n=size, **columns))
         code, _, err = run_cli(capsys, "coeffs", "--n", str(n), "--check")
         assert code == 1
-        assert f"CHECK FAIL [coeffs] {message}" in err
+        assert ("coeffs", what) in failed_checks(err)
 
 
 class TestFactorize:
@@ -187,15 +212,15 @@ class TestFactorize:
         code, _, err = run_cli(capsys, "factorize", "--method", "nsr", "--n", "64",
                                "--check")
         assert code == 1
-        assert "CHECK FAIL [factorize] right-factor columns deviate from unit norm" in err
-        assert "reconstruction" not in err
+        assert failed_checks(err) == [("factorize", "max |right column norm^2 - 1|")]
 
     def test_check_catches_a_wrong_product(self, capsys, monkeypatch):
         monkeypatch.setattr(fz, "verify_reconstruction", lambda f: 1e-6)
         code, _, err = run_cli(capsys, "factorize", "--method", "sqrt", "--n", "8",
                                "--check")
-        assert (code, err) == (1, "CHECK FAIL [factorize] reconstruction deviates by "
-                                  "1.000e-06\n")
+        assert code == 1
+        assert check_failures(err) == [
+            ("factorize", "max |left @ right - counting matrix|", 1e-6, 1e-9)]
 
     def test_sqrt_at_2_to_24_prints_its_scalars_and_builds_no_table(self, capsys,
                                                                     monkeypatch):
@@ -257,7 +282,7 @@ class TestMetrics:
         code, _, err = run_cli(capsys, "metrics", "--method", "group-algebra", "--n", "64",
                                "--check")
         assert code == 1
-        assert "CHECK FAIL [metrics] direct maxse deviates from its oracle" in err
+        assert failed_checks(err) == [("metrics", "relative deviation of maxse from its oracle")]
 
 
 class TestBounds:
@@ -277,15 +302,15 @@ class TestBounds:
 
         monkeypatch.setattr(bounds_mod, "bound_report", swapped)
         code, _, err = run_cli(capsys, "bounds", "--n", "64", "--check")  # no SVD above 32
-        assert (code, err) == (1, "CHECK FAIL [bounds] nuclear bound fell below the "
-                                  "weaker bound\n")
+        assert code == 1
+        assert failed_checks(err) == [("bounds", "mathias_lb vs nuclear_lb")]
 
     def test_check_catches_a_disagreeing_svd(self, capsys, monkeypatch):
         svd = np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kwargs: 1.001 * svd(a, **kwargs))
         code, _, err = run_cli(capsys, "bounds", "--n", "16", "--check")
-        assert (code, err) == (1, "CHECK FAIL [bounds] cosecant sum disagrees with the "
-                                  "SVD oracle\n")
+        assert code == 1
+        assert failed_checks(err) == [("bounds", "|SVD nuclear norm / n - nuclear_lb|")]
 
 
 class TestSweep:
@@ -539,9 +564,9 @@ class TestSweep:
                                "--n-min", "2", "--n-max", "8",
                                "--out", str(tmp_path / "sweep.csv"), "--check")
         # n = 2 is exempt: there nsr is below sqrt only from n = 4 on.
-        assert (code, err) == (1, "".join(
-            f"CHECK FAIL [sweep] normalized maxse above plain square root at n = {n}\n"
-            for n in (4, 8)))
+        assert code == 1
+        assert failed_checks(err) == [("sweep", f"nsr maxse vs sqrt maxse at n = {n}")
+                                      for n in (4, 8)]
 
     def test_every_size_without_geometric(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
@@ -958,8 +983,9 @@ class TestPointChecks:
         monkeypatch.chdir(tmp_path)
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
-        assert f"CHECK FAIL [{argv[0]}] meanse exceeds maxse" in err
-        assert "nuclear" not in err
+        whats = {what.split(" at ")[0] for _, what in failed_checks(err)}
+        assert whats == {"meanse vs maxse"}
+        assert {label for label, _ in failed_checks(err)} == {argv[0]}
 
     @pytest.mark.parametrize("argv", ARGV, ids=["metrics", "sweep"])
     def test_nuclear_bound_above_maxse_fails(self, capsys, tmp_path, monkeypatch, argv):
@@ -967,8 +993,53 @@ class TestPointChecks:
         monkeypatch.chdir(tmp_path)
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
-        assert f"CHECK FAIL [{argv[0]}] nuclear lower bound exceeds maxse" in err
-        assert "meanse" not in err
+        whats = {what.split(" at ")[0] for _, what in failed_checks(err)}
+        assert whats == {"nuclear_lb vs maxse"}
+        assert {label for label, _ in failed_checks(err)} == {argv[0]}
+
+
+class TestCheckRecords:
+    """Every --check record fails unless measured <= bound: a NaN fails, and
+    so does a tie with a strict bound."""
+
+    @pytest.mark.parametrize("target, argv, what", [
+        ("countfact.factorizations.verify_reconstruction",
+         ("factorize", "--method", "sqrt", "--n", "8"), "max |left @ right - counting matrix|"),
+        ("countfact.bounds.nuclear_lower_bound",
+         ("metrics", "--method", "sqrt", "--n", "16"), "nuclear_lb vs maxse"),
+    ], ids=["factorize", "metrics"])
+    def test_a_nan_measurement_fails(self, capsys, monkeypatch, target, argv, what):
+        monkeypatch.setattr(target, lambda *args: math.nan)
+        code, out, err = run_cli(capsys, *argv, "--check")
+        assert (code, out.count("CHECK OK")) == (1, 0)
+        [(label, failed, measured, _)] = check_failures(err)
+        assert (label, failed, math.isnan(measured)) == (argv[0], what, True)
+
+    # Correct code leaves |z_mean| below its bound and z_var inside an open
+    # band; a value on the edge fails, one inside it passes.
+    @pytest.mark.parametrize("bands, what", [
+        ((0.5, 0.0, 2.0), "|z_mean| entries not below the bound"),
+        ((0.6, 1.0, 2.0), "z_var entries outside the band"),
+        ((0.6, 0.0, 1.0), "z_var entries outside the band"),
+        ((0.6, 0.0, 2.0), None),
+    ])
+    def test_simulate_bands_fail_a_tie(self, capsys, monkeypatch, bands, what):
+        original = cli.estimate_errors
+
+        def flat(cfg):
+            result = original(cfg)
+            return dataclasses.replace(result, z_mean=np.full(cfg.factorization.n, -0.5),
+                                       z_var=np.ones(cfg.factorization.n))
+
+        monkeypatch.setattr(cli, "estimate_errors", flat)
+        monkeypatch.setattr(cli, "_z_bands", lambda trials, n: bands)
+        code, _, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "16",
+                               "--trials", "20", "--check")
+        if what is None:
+            assert (code, err) == (0, "")
+        else:
+            assert code == 1
+            assert check_failures(err) == [("simulate", what, 16.0, 0.0)]
 
 
 class TestSimulate:
@@ -1009,7 +1080,7 @@ class TestSimulate:
         code, _, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "2048",
                                "--trials", "200", "--seed", "1", "--check")
         assert code == 1
-        assert "CHECK FAIL [simulate] standardized deviations have off-unit variance" in err
+        assert ("simulate", "z_var entries outside the band") in failed_checks(err)
 
     def test_check_catches_a_biased_mean(self, capsys, monkeypatch):
         original = cli.estimate_errors
@@ -1021,8 +1092,8 @@ class TestSimulate:
         monkeypatch.setattr(cli, "estimate_errors", biased)
         code, _, err = run_cli(capsys, "simulate", "--method", "nsr", "--n", "64",
                                "--trials", "50", "--seed", "1", "--check")
-        assert (code, err) == (1, "CHECK FAIL [simulate] standardized deviations have "
-                                  "biased mean\n")
+        assert code == 1
+        assert failed_checks(err) == [("simulate", "|z_mean| entries not below the bound")]
 
     def test_check_catches_a_rerun_that_differs(self, capsys, monkeypatch):
         original, runs = cli.estimate_errors, []
@@ -1038,8 +1109,9 @@ class TestSimulate:
         monkeypatch.setattr(cli, "estimate_errors", drifting)
         code, _, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "64",
                                "--trials", "50", "--seed", "1", "--check")
-        assert (code, err) == (1, "CHECK FAIL [simulate] rerun with the identical seed was "
-                                  "not bit-identical\n")
+        assert code == 1
+        assert check_failures(err) == [
+            ("simulate", "errors that differ on a same-seed rerun", 1.0, 0.0)]
         assert len(runs) == 2
 
     def test_ones_input_gives_the_zeros_row(self, capsys, tmp_path):

@@ -123,8 +123,9 @@ class TestLowerTriangularToeplitz:
             LowerTriangularToeplitz(col)
 
     def test_read_only_columns_are_shared_and_writable_ones_copied(self, monkeypatch):
-        # The sqrt operator's column and profiles are views of one table,
-        # built on the first read of either.
+        # The sqrt profiles are views of one table, built on the first read
+        # of a profile; the operator's column is the r of another, built on
+        # the first read of a factor.
         n = 1000
         tables = []
 
@@ -136,9 +137,9 @@ class TestLowerTriangularToeplitz:
         f = factorize("sqrt", n)
         assert tables == []
         assert np.shares_memory(f.row_norms_sq_left, f.col_norms_sq_right)
-        assert np.shares_memory(f.left.col, tables[0].r)
         assert np.shares_memory(f.row_norms_sq_left, tables[0].d_sq)
-        assert len(tables) == 1
+        assert np.shares_memory(f.left.col, tables[1].r)
+        assert f.right is f.left and len(tables) == 2
         # A writable column is copied: changing it before the first apply,
         # which computes the spectrum, leaves the operator as it was built.
         col = np.random.default_rng(4).standard_normal(n)
