@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import operator
 import os
 import sys
 import warnings
@@ -138,7 +139,8 @@ def sweep_rows(methods, metrics, sizes):
     else:
         results = map(point, [(method, n) for n in sizes for method in point_methods])
     rows = [row for point_rows in results for row in point_rows]
-    rows.sort(key=lambda row: (row[1], row[2], row[0]))
+    for column in (0, 2, 1):  # stable passes, the last key first: no key tuple per row
+        rows.sort(key=operator.itemgetter(column))
     return rows
 
 
@@ -341,10 +343,15 @@ def cmd_metrics(args) -> list[tuple] | None:
     return _metric_checks(report, closed_form) if args.check else None
 
 
-def _point_checks(maxse: float, meanse: float | None, nuclear: float, at="") -> list[tuple]:
-    """The orderings at one (method, n) point; a meanse of None is skipped."""
-    records = [] if meanse is None else [(f"meanse vs maxse{at}", meanse, maxse * (1 + 1e-12))]
-    return records + [(f"nuclear_lb vs maxse{at}", nuclear, maxse * (1 + 1e-9))]
+def _point_checks(maxse, meanse, nuclear: float, at="") -> list[tuple]:
+    """The orderings nuclear_lb <= meanse <= maxse at one (method, n) point,
+    among the norms it reports (None: not reported)."""
+    records = [(f"nuclear_lb vs {metric}{at}", nuclear, value * (1 + 1e-9))
+               for metric, value in ((mt.MEANSE, meanse), (mt.MAXSE, maxse))
+               if value is not None]
+    if maxse is not None and meanse is not None:
+        records.append((f"meanse vs maxse{at}", meanse, maxse * (1 + 1e-12)))
+    return records
 
 
 def _metric_checks(report, closed_form) -> list[tuple]:
@@ -440,8 +447,8 @@ def _sweep_checks(rows) -> list[tuple]:
         sizes.add(n)
     nuclear = {n: bounds_mod.nuclear_lower_bound(n) for n in sizes}
     for (method, n), values in sorted(by_point.items()):
-        if method != LOWER_BOUND_METHOD and mt.MAXSE in values:
-            records += _point_checks(values[mt.MAXSE], values.get(mt.MEANSE), nuclear[n],
+        if method != LOWER_BOUND_METHOD:
+            records += _point_checks(values.get(mt.MAXSE), values.get(mt.MEANSE), nuclear[n],
                                      f" at ({method}, {n})")
     for n in sorted(sizes):
         nsr_v = by_point.get((fz.NSR, n), {}).get(mt.MAXSE)

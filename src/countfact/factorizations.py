@@ -12,10 +12,8 @@ Every constructor computes the three scalars the error metrics read (the
 largest squared row norm of the left factor, the largest squared column
 norm of the right factor, the squared Frobenius norm of the left factor)
 without materializing anything dense: in O(1) for sqrt and group-algebra,
-from the O(n log n) row profile for nsr.  The other per-row and
-per-column profiles, which the simulator reads, are built on their first
-read, and the operators on the first read of a factor, which no report or
-sweep makes.
+from the O(n log n) row profile for nsr.  The other two row profiles and
+the operators are built on their first read, which no report or sweep makes.
 """
 
 from __future__ import annotations
@@ -92,12 +90,12 @@ class Factorization:
 
     ``inner_dim`` is n for sqrt/nsr and 2n for group-algebra.  The error
     metrics read three scalars: ``max_row_sq_left``, ``max_col_sq_right``
-    and ``frobenius_sq_left``.  ``profiles()`` returns the read-only
-    squared row norms of the left factor and column norms of the right
-    factor, which the simulator reads; ``operators()`` returns (left,
-    right), which offer only apply and to_dense.  Each is called once, on
-    the first read of either of its two values.  All agree with direct
-    recomputation from the dense factors.
+    and ``frobenius_sq_left``.  ``row_profile()`` returns the read-only
+    squared row norms of the left factor, which the simulator reads as
+    ``row_norms_sq_left``; ``operators()`` returns (left, right), which
+    offer only apply and to_dense.  Each is called once, on the first read
+    of one of its values.  All agree with direct recomputation from the
+    dense factors.
     """
 
     method: str
@@ -106,19 +104,17 @@ class Factorization:
     max_row_sq_left: float
     max_col_sq_right: float
     frobenius_sq_left: float
-    profiles: Callable[[], tuple[np.ndarray, np.ndarray]]
+    row_profile: Callable[[], np.ndarray]
     operators: Callable[[], tuple[CirculantSlice, CirculantSlice]]
 
     @functools.cached_property
-    def _profiles(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.profiles()
+    def row_norms_sq_left(self) -> np.ndarray:
+        return self.row_profile()
 
     @functools.cached_property
     def _pair(self) -> tuple[CirculantSlice, CirculantSlice]:
         return self.operators()
 
-    row_norms_sq_left = property(lambda self: self._profiles[0])
-    col_norms_sq_right = property(lambda self: self._profiles[1])
     left = property(lambda self: self._pair[0])
     right = property(lambda self: self._pair[1])
 
@@ -126,15 +122,11 @@ class Factorization:
 def sqrt_factorization(n: int) -> Factorization:
     """Square-root factorization C @ C: both factors are one operator, so
     the max row norm and max column norm coincide, at S(n) = d_sq[0].  The
-    scalars come from sequences._sqrt_norm_sums in O(1).  The profiles
-    (d_sq, reversed for the rows) and the operator (column r) each build
-    their own coefficient table, on their first read."""
+    scalars come from sequences._sqrt_norm_sums in O(1).  The row profile
+    (d_sq reversed: row j holds the first j+1 coefficients) and the
+    operator (column r) each build their own coefficient table, on their
+    first read."""
     s, w = _sqrt_norm_sums(n)
-
-    def profiles():
-        d_sq = coefficient_table(n).d_sq
-        return d_sq[::-1], d_sq  # row j: the first j+1 coefficients
-
     return Factorization(
         method=SQRT,
         n=n,
@@ -142,7 +134,7 @@ def sqrt_factorization(n: int) -> Factorization:
         max_row_sq_left=s,
         max_col_sq_right=s,
         frobenius_sq_left=w,
-        profiles=profiles,
+        row_profile=lambda: coefficient_table(n).d_sq[::-1],
         operators=lambda: (LowerTriangularToeplitz(coefficient_table(n).r),) * 2,
     )
 
@@ -269,7 +261,7 @@ def nsr_factorization(n: int) -> Factorization:
         max_row_sq_left=float(np.max(row_sq)),
         max_col_sq_right=1.0,
         frobenius_sq_left=float(np.sum(row_sq)),
-        profiles=lambda: (row_sq, np.broadcast_to(1.0, n)),
+        row_profile=lambda: row_sq,
         operators=functools.partial(_nsr_operators, n),
     )
 
@@ -289,9 +281,9 @@ def group_algebra_factorization(n: int) -> Factorization:
     full = _group_algebra_norm_sq(n)
     spectrum = functools.partial(circulant_half_spectrum, n)
 
-    def profiles():
+    def row_profile():
         import numpy as np
-        return (np.broadcast_to(full, n),) * 2  # read-only, one float for every entry
+        return np.broadcast_to(full, n)  # read-only, one float for every entry
 
     return Factorization(
         method=GROUP_ALGEBRA,
@@ -300,7 +292,7 @@ def group_algebra_factorization(n: int) -> Factorization:
         max_row_sq_left=full,
         max_col_sq_right=full,
         frobenius_sq_left=n * full,
-        profiles=profiles,
+        row_profile=row_profile,
         operators=lambda: (CirculantSlice((n, 2 * n), 2 * n, spectrum),
                            CirculantSlice((2 * n, n), 2 * n, spectrum)),
     )

@@ -268,7 +268,7 @@ class CoefficientTable:
         increasing within [1, 1.0663].
 
     r, rtilde and alpha are computed on first read; the square-root
-    factorization's profiles need none of them.
+    factorization's row profile needs none of them.
     """
 
     n: int
@@ -305,13 +305,13 @@ def coefficient_table(n: int) -> CoefficientTable:
 
     Every call builds a new table, 8n bytes (16n once r is read, 32n once
     rtilde and alpha are too), which lives as long as its caller holds it:
-    a factorization keeps the arrays its profiles read.  A square-root
-    factorization builds one on the first read of a profile and one on the
-    first read of a factor, so no square-root report builds any; an nsr one
-    builds one for its row profile and, once a factor is read, one for its
-    operators.  The squared coefficients are summed as the product streams
-    past, one block at a time, so only d_sq is n long.  The table is
-    immutable and safe to share across threads.
+    a factorization keeps the arrays its row profile reads.  A square-root
+    factorization builds one on the first read of its profile and one on
+    the first read of a factor, so no square-root report builds any; an
+    nsr one builds one for its profile and, once a factor is read, one for
+    its operators.  The squared coefficients are summed as the product
+    streams past, one block at a time, so only d_sq is n long.  The table
+    is immutable and safe to share across threads.
     """
     import numpy as np
     n = check_size(n)

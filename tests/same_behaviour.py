@@ -37,6 +37,11 @@ def _matrix() -> list[tuple[str, ...]]:
         ("sweep", "--n-max", "32768", "--out", "sweep.csv", "--svg", "sweep.svg"),
         ("sweep", "--methods", "sqrt,group-algebra", "--n-max", "1048576",
          "--out", "sweep.csv"),
+        # Every integer size on the n-major path, and a check without maxse.
+        ("sweep", "--no-geometric", "--n-min", "1", "--n-max", "300",
+         "--methods", "sqrt,group-algebra", "--out", "sweep.csv", "--svg", "sweep.svg",
+         "--check"),
+        ("sweep", "--metrics", "meanse", "--out", "sweep.csv", "--check"),
     ]
     for method in METHODS:
         runs += [("metrics", "--method", method, "--n", n, "--check", "--csv", "rows.csv")

@@ -314,6 +314,18 @@ class TestBounds:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("methods", [("sqrt", "group-algebra"), fz.METHODS],
+                             ids=["n-major", "pool"])
+    def test_rows_are_in_tuple_key_order(self, methods):
+        # Sizes out of order and repeated: the rows come out as one stable
+        # sort of the same rows by (method, metric, n).
+        sizes = [64, 1, 8, 1, 3, 64]
+        metrics = (*mt.METRICS, *cli.BOUND_METRICS)
+        rows = cli.sweep_rows(methods, metrics, sizes)
+        unsorted = [row for n in sizes for row in cli.sweep_rows(methods, metrics, [n])]
+        assert rows == sorted(unsorted, key=lambda row: (row[1], row[2], row[0]))
+        assert len(rows) == len(sizes) * (2 * len(methods) + 2)
+
     def test_known_values_and_round_trip(self, capsys, tmp_path):
         path = tmp_path / "sweep.csv"
         code, _, _ = run_cli(capsys, "sweep", "--methods", "sqrt", "--metrics", "maxse",
@@ -994,26 +1006,42 @@ class TestPointChecks:
         code, _, err = run_cli(capsys, *argv)
         assert code == 1
         whats = {what.split(" at ")[0] for _, what in failed_checks(err)}
-        assert whats == {"nuclear_lb vs maxse"}
+        assert whats == {"nuclear_lb vs meanse", "nuclear_lb vs maxse"}
         assert {label for label, _ in failed_checks(err)} == {argv[0]}
+
+    def test_a_sweep_without_maxse_orders_the_bound_against_meanse(
+            self, capsys, tmp_path, monkeypatch):
+        argv = ("sweep", "--metrics", "meanse", "--n-max", "16", "--out", "sweep.csv",
+                "--check")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(capsys, *argv)[:2] == (0, "wrote sweep.csv (9 rows)\nCHECK OK [sweep]\n")
+        monkeypatch.setattr(bounds_mod, "nuclear_lower_bound", lambda n: 1e300)
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1
+        failed = failed_checks(err)
+        assert {what.split(" at ")[0] for _, what in failed} == {"nuclear_lb vs meanse"}
+        assert len(failed) == 9
 
 
 class TestCheckRecords:
     """Every --check record fails unless measured <= bound: a NaN fails, and
     so does a tie with a strict bound."""
 
-    @pytest.mark.parametrize("target, argv, what", [
+    @pytest.mark.parametrize("target, argv, whats", [
         ("countfact.factorizations.verify_reconstruction",
-         ("factorize", "--method", "sqrt", "--n", "8"), "max |left @ right - counting matrix|"),
+         ("factorize", "--method", "sqrt", "--n", "8"), ["max |left @ right - counting matrix|"]),
         ("countfact.bounds.nuclear_lower_bound",
-         ("metrics", "--method", "sqrt", "--n", "16"), "nuclear_lb vs maxse"),
+         ("metrics", "--method", "sqrt", "--n", "16"),
+         ["nuclear_lb vs meanse", "nuclear_lb vs maxse"]),
     ], ids=["factorize", "metrics"])
-    def test_a_nan_measurement_fails(self, capsys, monkeypatch, target, argv, what):
+    def test_a_nan_measurement_fails(self, capsys, monkeypatch, target, argv, whats):
         monkeypatch.setattr(target, lambda *args: math.nan)
         code, out, err = run_cli(capsys, *argv, "--check")
         assert (code, out.count("CHECK OK")) == (1, 0)
-        [(label, failed, measured, _)] = check_failures(err)
-        assert (label, failed, math.isnan(measured)) == (argv[0], what, True)
+        failures = check_failures(err)
+        assert [(label, failed) for label, failed, _, _ in failures] == [
+            (argv[0], what) for what in whats]
+        assert all(math.isnan(measured) for _, _, measured, _ in failures)
 
     # Correct code leaves |z_mean| below its bound and z_var inside an open
     # band; a value on the edge fails, one inside it passes.
@@ -1073,8 +1101,7 @@ class TestSimulate:
 
         def scaled(method, n):
             f = original(method, n)
-            return dataclasses.replace(
-                f, profiles=lambda: (4.0 * f.row_norms_sq_left, f.col_norms_sq_right))
+            return dataclasses.replace(f, row_profile=lambda: 4.0 * f.row_norms_sq_left)
 
         monkeypatch.setattr(fz, "factorize", scaled)
         code, _, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "2048",

@@ -151,8 +151,9 @@ class TestSqrtFactorization:
         assert f.left.to_dense().tolist() == [[1.0]]
         f2 = sqrt_factorization(2)
         assert f2.left.col.tolist() == [1.0, 0.5]
-        assert f2.col_norms_sq_right[0] == 1.25
-        assert sqrt_factorization(4).col_norms_sq_right[0] == 1.48828125
+        assert f2.row_norms_sq_left.tolist() == [1.0, 1.25]
+        assert f2.max_col_sq_right == 1.25
+        assert sqrt_factorization(4).max_col_sq_right == 1.48828125
 
     def test_left_is_right(self):
         f = sqrt_factorization(16)
@@ -176,20 +177,21 @@ class TestSqrtFactorization:
     @pytest.mark.parametrize("n", [2**10, 2**16])
     def test_profiles_read_on_first_read_agree_with_the_scalars(self, n):
         # The O(1) scalars and the table's d_sq are two evaluations of the
-        # same sums; the profiles are built only when read.
+        # same sums; the row profile is built only when read.  Its last row,
+        # d_sq[0], is the first column of the factor, the longest.
         f = sqrt_factorization(n)
-        assert "_profiles" not in vars(f)
-        rows, cols = f.row_norms_sq_left, f.col_norms_sq_right
-        assert rows.shape == cols.shape == (n,) and np.shares_memory(rows, cols)
+        assert "row_norms_sq_left" not in vars(f)
+        rows = f.row_norms_sq_left
+        assert rows.shape == (n,)
         assert_allclose(np.max(rows), f.max_row_sq_left, rtol=1e-14, atol=0)
-        assert_allclose(np.max(cols), f.max_col_sq_right, rtol=1e-14, atol=0)
+        assert_allclose(rows[-1], f.max_col_sq_right, rtol=1e-14, atol=0)
         assert_allclose(np.sum(rows), f.frobenius_sq_left, rtol=1e-14, atol=0)
 
     def test_norm_profiles_match_dense(self):
         f = sqrt_factorization(64)
         dense = f.left.to_dense()
         assert_allclose(f.row_norms_sq_left, (dense * dense).sum(axis=1), rtol=1e-12)
-        assert_allclose(f.col_norms_sq_right, (dense * dense).sum(axis=0), rtol=1e-12)
+        assert_allclose(f.max_col_sq_right, (dense * dense).sum(axis=0).max(), rtol=1e-12)
         assert_allclose(f.frobenius_sq_left, (dense * dense).sum(), rtol=1e-12)
 
 
@@ -226,7 +228,7 @@ class TestNsrFactorization:
 
     def test_unit_right_columns(self):
         f = nsr_factorization(128)
-        assert np.all(f.col_norms_sq_right == 1.0)
+        assert f.max_col_sq_right == 1.0
         dense = f.right.to_dense()
         assert np.abs((dense * dense).sum(axis=0) - 1.0).max() <= 1e-12
 
@@ -400,7 +402,7 @@ class TestGroupAlgebraFactorization:
         assert np.ptp(left_rows) <= 1e-10 * left_rows.max()
         assert np.ptp(right_cols) <= 1e-10 * right_cols.max()
         assert_allclose(f.row_norms_sq_left, left_rows, rtol=1e-12)
-        assert_allclose(f.col_norms_sq_right, right_cols, rtol=1e-12)
+        assert_allclose(f.max_col_sq_right, right_cols.max(), rtol=1e-12)
 
     def test_apply_matches_dense(self):
         f = group_algebra_factorization(8)
@@ -427,13 +429,14 @@ class TestGroupAlgebraFactorization:
             assert np.abs(got - reference).max() <= 1e-13 * np.abs(reference).max()
 
     def test_norm_profiles_are_one_read_only_array_cold_and_warm(self):
-        # One float stands for both profiles.  Cold, the peak is the odd
+        # One float stands for every row norm.  Cold, the peak is the odd
         # cosecant sum, which builds its terms one block at a time (measured
         # 658,338 bytes, five blocks); warm, the memoized sum leaves
         # nothing n-long (measured 1,088 bytes).
         n = 2**16
         f = group_algebra_factorization(n)
-        assert f.row_norms_sq_left is f.col_norms_sq_right
+        rows = f.row_norms_sq_left
+        assert rows.strides == (0,) and rows[0] == f.max_row_sq_left
         _odd_cosecant_sum.cache_clear()
         peaks = [traced_peak(lambda: group_algebra_factorization(n)) for _ in ("cold", "warm")]
         assert peaks[0] <= BLOCK_WORKSPACE
@@ -583,14 +586,14 @@ class TestGroupAlgebraSpectralNorm:
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 257])
 @pytest.mark.parametrize("method", METHODS)
 def test_stored_profiles_match_dense(method, n):
-    # The profiles stored on Factorization are the only ones the metrics and
-    # the simulator read; the dense factors are their oracle.
+    # The row profile and the scalars stored on Factorization are the only
+    # norms the metrics and the simulator read; the dense factors are their
+    # oracle.
     f = factorize(method, n)
     left = f.left.to_dense()
     right = f.right.to_dense()
-    assert f.row_norms_sq_left.shape == f.col_norms_sq_right.shape == (n,)
+    assert f.row_norms_sq_left.shape == (n,)
     assert_allclose(f.row_norms_sq_left, np.einsum("jk,jk->j", left, left), rtol=1e-12)
-    assert_allclose(f.col_norms_sq_right, np.einsum("jk,jk->k", right, right), rtol=1e-12)
     assert_allclose(f.frobenius_sq_left, np.einsum("jk,jk->", left, left), rtol=1e-12)
     assert_allclose(f.max_row_sq_left, np.einsum("jk,jk->j", left, left).max(), rtol=1e-12)
     assert_allclose(f.max_col_sq_right, np.einsum("jk,jk->k", right, right).max(),
@@ -602,25 +605,24 @@ def test_profiles_built_once_by_one_call_on_first_read(method):
     f = factorize(method, 16)
     calls = []
 
-    def profiles():
+    def row_profile():
         calls.append(1)
-        return f.profiles()
+        return f.row_profile()
 
-    g = dataclasses.replace(f, profiles=profiles)
-    assert calls == [] and "_profiles" not in vars(g)
+    g = dataclasses.replace(f, row_profile=row_profile)
+    assert calls == [] and "row_norms_sq_left" not in vars(g)
     rows = g.row_norms_sq_left
-    assert g.col_norms_sq_right is g.col_norms_sq_right and g.row_norms_sq_left is rows
+    assert g.row_norms_sq_left is rows
     assert calls == [1]
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_norm_profiles_are_read_only(method):
-    # A frozen Factorization's norms cannot be changed through its profiles.
-    f = factorize(method, 16)
-    for profile in (f.row_norms_sq_left, f.col_norms_sq_right):
-        assert not profile.flags.writeable
-        with pytest.raises(ValueError):
-            profile[0] = 0.0
+    # A frozen Factorization's norms cannot be changed through its profile.
+    profile = factorize(method, 16).row_norms_sq_left
+    assert not profile.flags.writeable
+    with pytest.raises(ValueError):
+        profile[0] = 0.0
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -16,6 +16,7 @@ from numpy.testing import assert_allclose
 
 from countfact import (
     GROUP_ALGEBRA,
+    SQRT,
     MechanismConfig,
     estimate_errors,
     factorize,
@@ -26,6 +27,7 @@ from countfact import (
 from countfact import mechanism
 from countfact.factorizations import METHODS, sqrt_factorization
 from countfact.mechanism import POOL_FLOOR, _generator, noise_scale
+from countfact.structmat import DENSE_BUDGET
 
 
 def run_mechanism_once(cfg, trial_index):
@@ -210,11 +212,23 @@ class TestScaleLaw:
     @pytest.mark.parametrize("n", [1, 64, 4097])
     def test_noise_scale_reads_the_max_column_norm(self, method, n):
         # sigma reads the scalar the theory errors read (sqrt: the O(1)
-        # S(n)), which the profile's own maximum meets to rounding.
+        # S(n)).  The dense right factor meets it to rounding; above
+        # DENSE_BUDGET the first column, the longest for every method, from
+        # one apply (group-algebra: within the 7.2e-14 of its cosecant sum
+        # at 4097), and for sqrt the table's d_sq[0], the last row norm.
         f = factorize(method, n)
         for mu in (0.5, 1.0, 3.0, math.inf):
             assert noise_scale(f, mu) == math.sqrt(f.max_col_sq_right) / mu
-        assert abs(f.max_col_sq_right / np.max(f.col_norms_sq_right) - 1) <= 1e-14
+        if n <= DENSE_BUDGET:
+            right = f.right.to_dense()
+            oracles, tol = [np.einsum("jk,jk->k", right, right).max()], 1e-14
+        else:
+            first = math.fsum(np.square(f.right.apply(np.eye(1, n)[0])))
+            oracles, tol = [first], (1e-13 if method == GROUP_ALGEBRA else 1e-14)
+            if method == SQRT:
+                oracles.append(f.row_norms_sq_left[-1])
+        for oracle in oracles:
+            assert abs(f.max_col_sq_right / oracle - 1) <= tol
 
 
 class TestStatistics:

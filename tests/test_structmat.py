@@ -123,9 +123,9 @@ class TestLowerTriangularToeplitz:
             LowerTriangularToeplitz(col)
 
     def test_read_only_columns_are_shared_and_writable_ones_copied(self, monkeypatch):
-        # The sqrt profiles are views of one table, built on the first read
-        # of a profile; the operator's column is the r of another, built on
-        # the first read of a factor.
+        # The sqrt row profile is a view of one table, built on its first
+        # read; the operator's column is the r of another, built on the
+        # first read of a factor.
         n = 1000
         tables = []
 
@@ -136,7 +136,6 @@ class TestLowerTriangularToeplitz:
         monkeypatch.setattr("countfact.factorizations.coefficient_table", recorded)
         f = factorize("sqrt", n)
         assert tables == []
-        assert np.shares_memory(f.row_norms_sq_left, f.col_norms_sq_right)
         assert np.shares_memory(f.row_norms_sq_left, tables[0].d_sq)
         assert np.shares_memory(f.left.col, tables[1].r)
         assert f.right is f.left and len(tables) == 2
