@@ -6,6 +6,7 @@ error or out of memory.
 --check records are (what, measured, bound); each passes only if measured <=
 bound, so a NaN fails.  Every failing one prints "CHECK FAIL [command] what:
 measured > bound" (.3e) to stderr or, if none fails, "CHECK OK [command]" to stdout.
+metrics, bounds and sweep check the paper's chain in one place, _row_checks.
 All numeric output is emitted at 17 significant digits with a '.' decimal
 separator, which round-trips float64 bitwise.
 """
@@ -14,8 +15,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
-import operator
 import os
 import sys
 import warnings
@@ -109,8 +110,8 @@ def _report_rows(n, method, report, metrics) -> list[tuple]:
 
 
 def sweep_rows(methods, metrics, sizes):
-    """One (n, method, metric, value, residual, predicted) tuple per point,
-    sorted by (method, metric, n) whatever the workers or the point order.
+    """One (n, method, metric, value, residual, predicted) tuple per point
+    and metric, in (method, metric, n) order whatever the point order.
     A sweep with nsr points computes them method-major on pool_size() worker
     threads, each holding the arrays of one point: the rfft/irfft pairs of an
     nsr profile release the GIL, and the two largest start together (n-major
@@ -119,12 +120,11 @@ def sweep_rows(methods, metrics, sizes):
     method_metrics = [m for m in mt.METRICS if m in metrics]
     bound_metrics = [m for m in BOUND_METRICS if m in metrics]
 
-    def point(task):
-        method, n = task
+    def report(point):
+        method, n = point
         if method == LOWER_BOUND_METHOD:
-            return _report_rows(n, method, bounds_mod.bound_report(n, bound_metrics),
-                                bound_metrics)
-        return _report_rows(n, method, mt.error_report(method, n), method_metrics)
+            return bounds_mod.bound_report(n, bound_metrics)
+        return mt.error_report(method, n)
 
     point_methods = (list(methods) if method_metrics else []) + (
         [LOWER_BOUND_METHOD] if bound_metrics else [])
@@ -135,13 +135,15 @@ def sweep_rows(methods, metrics, sizes):
 
         points = [(method, n) for method in point_methods for n in sizes]
         with concurrent.futures.ThreadPoolExecutor(pool_size()) as pool:
-            results = list(pool.map(point, points))
+            reports = dict(zip(points, pool.map(report, points)))
     else:
-        results = map(point, [(method, n) for n in sizes for method in point_methods])
-    rows = [row for point_rows in results for row in point_rows]
-    for column in (0, 2, 1):  # stable passes, the last key first: no key tuple per row
-        rows.sort(key=operator.itemgetter(column))
-    return rows
+        points = [(method, n) for n in sizes for method in point_methods]
+        reports = dict(zip(points, map(report, points)))
+    return [(n, method, metric, *_ROW_GETTERS[metric](reports[method, n]))
+            for method in sorted(point_methods)
+            for metric in sorted(bound_metrics if method == LOWER_BOUND_METHOD
+                                 else method_metrics)
+            for n in sorted(sizes)]
 
 
 def _write_csv(path: str, header, rows, append: bool = False) -> None:
@@ -179,12 +181,11 @@ _PALETTE = (
 
 def write_sweep_svg(path: str, rows) -> None:
     """Residual vs log2(n) line chart: one polyline per (method, metric)
-    series, one dashed horizontal line at each series' predicted residual."""
+    series, one dashed horizontal line at each series' predicted residual.
+    Rows come in sweep_rows order, so series and points are read in order."""
     series: dict[tuple[str, str], list] = {}
     for n, method, metric, _value, residual, predicted in rows:
         series.setdefault((method, metric), []).append((math.log2(n), residual, predicted))
-    for points in series.values():
-        points.sort()
 
     width, height = 960, 540
     left, right, top, bottom = 70, 200, 30, 50
@@ -233,7 +234,7 @@ def write_sweep_svg(path: str, rows) -> None:
                  f'transform="rotate(-90 18 {(top + height - bottom) / 2:.1f})">'
                  f'value - log(n)/pi</text>')
 
-    for i, ((method, metric), points) in enumerate(sorted(series.items())):
+    for i, ((method, metric), points) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
         coords = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y, _ in points)
         parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
@@ -339,24 +340,38 @@ def cmd_metrics(args) -> list[tuple] | None:
         closed_form = mt.closed_form_maxse_group_algebra(args.n)
         extras = [("closed_form_maxse", closed_form), ("closed_form_meanse", closed_form)]
     _print_report(report, extras)
-    _append_rows(args, _report_rows(args.n, args.method, report, mt.METRICS))
-    return _metric_checks(report, closed_form) if args.check else None
+    rows = _report_rows(args.n, args.method, report, mt.METRICS)
+    _append_rows(args, rows)
+    return _row_checks(rows) + _oracle_checks(report, closed_form) if args.check else None
 
 
-def _point_checks(maxse, meanse, nuclear: float, at="") -> list[tuple]:
-    """The orderings nuclear_lb <= meanse <= maxse at one (method, n) point,
-    among the norms it reports (None: not reported)."""
-    records = [(f"nuclear_lb vs {metric}{at}", nuclear, value * (1 + 1e-9))
-               for metric, value in ((mt.MEANSE, meanse), (mt.MAXSE, maxse))
-               if value is not None]
-    if maxse is not None and meanse is not None:
-        records.append((f"meanse vs maxse{at}", meanse, maxse * (1 + 1e-12)))
+def _row_checks(rows) -> list[tuple]:
+    """The paper's chain, mathias_lb <= nuclear_lb <= meanse <= maxse, at
+    each (method, n) point of the rows a command writes, among the values
+    they hold, and nsr maxse <= sqrt maxse from n = 4 on.  A method point's
+    norms are ordered against the nuclear bound, computed once per size."""
+    points: dict[tuple[str, int], dict[str, float]] = {}
+    for n, method, metric, value, _residual, _predicted in rows:
+        points.setdefault((method, n), {})[metric] = value
+    nuclear_at = functools.cache(bounds_mod.nuclear_lower_bound)
+    records = []
+    for (method, n), values in points.items():
+        at = f" at ({method}, {n})"
+        maxse, meanse, nuclear_lb, mathias_lb = map(values.get, mt.METRICS + BOUND_METRICS)
+        if n >= 2 and None not in (mathias_lb, nuclear_lb):
+            records.append(("mathias_lb vs nuclear_lb" + at, mathias_lb, nuclear_lb))
+        records += [(f"nuclear_lb vs {metric}{at}", nuclear_at(n), value * (1 + 1e-9))
+                    for metric, value in ((mt.MEANSE, meanse), (mt.MAXSE, maxse))
+                    if value is not None]
+        if None not in (maxse, meanse):
+            records.append(("meanse vs maxse" + at, meanse, maxse * (1 + 1e-12)))
+        sqrt_maxse = points.get((fz.SQRT, n), {}).get(mt.MAXSE)
+        if method == fz.NSR and n >= 4 and None not in (maxse, sqrt_maxse):
+            records.append((f"nsr maxse vs sqrt maxse at n = {n}", maxse, sqrt_maxse))
     return records
 
 
-def _metric_checks(report, closed_form) -> list[tuple]:
-    records = _point_checks(report.maxse, report.meanse,
-                            bounds_mod.nuclear_lower_bound(report.n))
+def _oracle_checks(report, closed_form) -> list[tuple]:
     # The group-algebra norm is stored as its closed form, so its oracle is
     # the squared norm of the operator's column: one irfft of the half
     # spectrum, which a factorization builds only when asked.
@@ -367,9 +382,9 @@ def _metric_checks(report, closed_form) -> list[tuple]:
         column = fz.factorize(fz.GROUP_ALGEBRA, report.n).left.col
         oracle, tol = math.fsum(np.square(column)), 1e-9
     else:
-        return records
-    return records + [("relative deviation of maxse from its oracle",
-                       abs(report.maxse - oracle) / oracle, tol)]
+        return []
+    return [("relative deviation of maxse from its oracle",
+             abs(report.maxse - oracle) / oracle, tol)]
 
 
 def cmd_bounds(args) -> list[tuple] | None:
@@ -377,12 +392,11 @@ def cmd_bounds(args) -> list[tuple] | None:
     # G(n) is defined from n = 2 on.
     _print_report(report, zip(("g_n", "g_n_predicted"), bounds_mod.cosecant_average(args.n))
                   if args.n >= 2 else ())
-    _append_rows(args, _report_rows(args.n, LOWER_BOUND_METHOD, report, BOUND_METRICS))
+    rows = _report_rows(args.n, LOWER_BOUND_METHOD, report, BOUND_METRICS)
+    _append_rows(args, rows)
     if not args.check:
         return None
-    records = []
-    if args.n >= 2:
-        records.append(("mathias_lb vs nuclear_lb", report.mathias_lb, report.nuclear_lb))
+    records = _row_checks(rows)
     if args.n <= 32:
         import numpy as np
         singular = np.linalg.svd(counting_matrix(args.n), compute_uv=False)
@@ -434,28 +448,7 @@ def cmd_sweep(args) -> list[tuple] | None:
     if args.svg:
         write_sweep_svg(args.svg, rows)
         print(f"wrote {args.svg}")
-    return _sweep_checks(rows) if args.check else None
-
-
-def _sweep_checks(rows) -> list[tuple]:
-    """Ordering invariants at every sweep point."""
-    records = []
-    by_point: dict[tuple[str, int], dict[str, float]] = {}
-    sizes = set()
-    for n, method, metric, value, _residual, _predicted in rows:
-        by_point.setdefault((method, n), {})[metric] = value
-        sizes.add(n)
-    nuclear = {n: bounds_mod.nuclear_lower_bound(n) for n in sizes}
-    for (method, n), values in sorted(by_point.items()):
-        if method != LOWER_BOUND_METHOD:
-            records += _point_checks(values.get(mt.MAXSE), values.get(mt.MEANSE), nuclear[n],
-                                     f" at ({method}, {n})")
-    for n in sorted(sizes):
-        nsr_v = by_point.get((fz.NSR, n), {}).get(mt.MAXSE)
-        sqrt_v = by_point.get((fz.SQRT, n), {}).get(mt.MAXSE)
-        if n >= 4 and nsr_v is not None and sqrt_v is not None:
-            records.append((f"nsr maxse vs sqrt maxse at n = {n}", nsr_v, sqrt_v))
-    return records
+    return _row_checks(rows) if args.check else None
 
 
 def cmd_simulate(args) -> list[tuple] | None:

@@ -42,6 +42,8 @@ def _matrix() -> list[tuple[str, ...]]:
          "--methods", "sqrt,group-algebra", "--out", "sweep.csv", "--svg", "sweep.svg",
          "--check"),
         ("sweep", "--metrics", "meanse", "--out", "sweep.csv", "--check"),
+        # Bound rows only: the check orders the Mathias bound at each size.
+        ("sweep", "--metrics", "nuclear_lb,mathias_lb", "--out", "sweep.csv", "--check"),
     ]
     for method in METHODS:
         runs += [("metrics", "--method", method, "--n", n, "--check", "--csv", "rows.csv")

@@ -292,18 +292,26 @@ class TestBounds:
         line = next(l for l in out.splitlines() if l.startswith("nuclear_lb"))
         assert abs(float(line.split()[-1]) - 1.0) < 1e-12
 
-    def test_check_catches_bounds_out_of_order(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, sizes", [
+        (("bounds", "--n", "64"), [64]),  # no SVD above 32
+        (("sweep", "--metrics", "nuclear_lb,mathias_lb", "--out", "sweep.csv"),
+         cli.sweep_sizes(4, 8192, geometric=True)),
+    ], ids=["bounds", "sweep"])
+    def test_check_catches_bounds_out_of_order(self, capsys, tmp_path, monkeypatch,
+                                               argv, sizes):
         original = bounds_mod.bound_report
 
-        def swapped(n):
-            report = original(n)
+        def swapped(n, *selected):
+            report = original(n, *selected)
             return dataclasses.replace(report, nuclear_lb=report.mathias_lb,
                                        mathias_lb=report.nuclear_lb)
 
         monkeypatch.setattr(bounds_mod, "bound_report", swapped)
-        code, _, err = run_cli(capsys, "bounds", "--n", "64", "--check")  # no SVD above 32
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, *argv, "--check")
         assert code == 1
-        assert failed_checks(err) == [("bounds", "mathias_lb vs nuclear_lb")]
+        assert failed_checks(err) == [(argv[0], f"mathias_lb vs nuclear_lb at (lower-bound, {n})")
+                                      for n in sizes]
 
     def test_check_catches_a_disagreeing_svd(self, capsys, monkeypatch):
         svd = np.linalg.svd
@@ -1032,7 +1040,7 @@ class TestCheckRecords:
          ("factorize", "--method", "sqrt", "--n", "8"), ["max |left @ right - counting matrix|"]),
         ("countfact.bounds.nuclear_lower_bound",
          ("metrics", "--method", "sqrt", "--n", "16"),
-         ["nuclear_lb vs meanse", "nuclear_lb vs maxse"]),
+         ["nuclear_lb vs meanse at (sqrt, 16)", "nuclear_lb vs maxse at (sqrt, 16)"]),
     ], ids=["factorize", "metrics"])
     def test_a_nan_measurement_fails(self, capsys, monkeypatch, target, argv, whats):
         monkeypatch.setattr(target, lambda *args: math.nan)
