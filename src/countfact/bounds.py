@@ -13,7 +13,7 @@ group-algebra factorization's norm also reads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .sequences import CONSTANTS, EULER_GAMMA, _cosecant_total, _odd_cosecant_sum, check_size
 from .metrics import residual_offset
@@ -54,19 +54,12 @@ def cosecant_average(n: int) -> tuple[float, float]:
     return value, predicted
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Both lower bounds at one n, their residuals against log(n)/pi, and
-    the constants the residuals converge to.  A bound that was not asked
-    for reads None, and so does its residual."""
-
-    n: int
-    nuclear_lb: float | None
-    mathias_lb: float | None
-    nuclear_residual: float | None
-    mathias_residual: float | None
-    predicted_nuclear_residual: float
-    predicted_mathias_residual: float
+BoundReport = namedtuple("BoundReport", (
+    "n", "nuclear_lb", "mathias_lb", "nuclear_residual", "mathias_residual",
+    "predicted_nuclear_residual", "predicted_mathias_residual"))
+BoundReport.__doc__ = """Both lower bounds at one n, their residuals against
+log(n)/pi, and the constants the residuals converge to, as a named tuple.
+A bound that was not asked for reads None, and so does its residual."""
 
 
 def bound_report(n: int, selected=("nuclear_lb", "mathias_lb")) -> BoundReport:

@@ -14,7 +14,6 @@ separator, which round-trips float64 bitwise.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -56,8 +55,7 @@ def _print_table(pairs) -> None:
 
 def _print_report(report, extras) -> None:
     """A report's fields, then the (name, value) extras."""
-    _print_table([(field.name, getattr(report, field.name))
-                  for field in dataclasses.fields(report)] + list(extras))
+    _print_table([*zip(report._fields, report), *extras])
 
 
 def _run_checks(label: str, records) -> int:

@@ -20,11 +20,9 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Callable
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
-from .sequences import (_group_algebra_norm_sq, _sqrt_norm_sums, check_size, coefficient_table,
-                        wallis_coeffs)
+from .sequences import (_ReadOnly, _group_algebra_norm_sq, _sqrt_norm_sums, check_size,
+                        coefficient_table, wallis_coeffs)
 from .structmat import (
     CirculantSlice,
     LowerTriangularToeplitz,
@@ -32,9 +30,6 @@ from .structmat import (
     counting_matrix,
     fft_length,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 SQRT = "sqrt"
 NSR = "nsr"
@@ -84,8 +79,7 @@ class NsrLeft(LowerTriangularToeplitz):
         return np.cumsum(self.d[:, None] * super().to_dense(), axis=0)
 
 
-@dataclass(frozen=True, eq=False)
-class Factorization:
+class Factorization(_ReadOnly):
     """One explicit factorization with left @ right == counting_matrix(n).
 
     ``inner_dim`` is n for sqrt/nsr and 2n for group-algebra.  The error
@@ -98,14 +92,14 @@ class Factorization:
     dense factors.
     """
 
-    method: str
-    n: int
-    inner_dim: int
-    max_row_sq_left: float
-    max_col_sq_right: float
-    frobenius_sq_left: float
-    row_profile: Callable[[], np.ndarray]
-    operators: Callable[[], tuple[CirculantSlice, CirculantSlice]]
+    def __init__(self, method: str, n: int, inner_dim: int, max_row_sq_left: float,
+                 max_col_sq_right: float, frobenius_sq_left: float,
+                 row_profile: Callable[[], np.ndarray],
+                 operators: Callable[[], tuple[CirculantSlice, CirculantSlice]]):
+        vars(self).update(method=method, n=n, inner_dim=inner_dim,
+                          max_row_sq_left=max_row_sq_left, max_col_sq_right=max_col_sq_right,
+                          frobenius_sq_left=frobenius_sq_left, row_profile=row_profile,
+                          operators=operators)
 
     @functools.cached_property
     def row_norms_sq_left(self) -> np.ndarray:

@@ -15,14 +15,10 @@ import collections
 import math
 import operator
 import os
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .factorizations import Factorization
 from .metrics import maxse, meanse
-
-if TYPE_CHECKING:
-    import numpy as np
+from .sequences import _ReadOnly
 
 
 # Trials whose noise is shorter than this run on the calling thread: numpy
@@ -57,34 +53,26 @@ def check_parameters(mu: float, trials: int, seed: int) -> None:
         raise ValueError("seed must fit in an unsigned 64-bit integer")
 
 
-@dataclass(frozen=True, eq=False)
-class MechanismConfig:
-    """One simulation setup.
+class MechanismConfig(_ReadOnly):
+    """One simulation setup, checked before it is stored.
 
     ``mu`` is the GDP level; ``mu = inf`` is allowed and means sigma = 0.
     ``seed`` is a 64-bit unsigned integer; together with a trial index it
-    fully determines the noise draw.
+    fully determines the noise draw.  ``input`` is stored as a float64 array.
     """
 
-    factorization: Factorization
-    mu: float
-    trials: int
-    seed: int
-    input: np.ndarray
-
-    def __post_init__(self):
+    def __init__(self, factorization: Factorization, mu: float, trials: int, seed: int,
+                 input: np.ndarray):
         import numpy as np
-        check_parameters(self.mu, self.trials, self.seed)
-        x = np.asarray(self.input, dtype=np.float64)
-        if x.shape != (self.factorization.n,):
-            raise ValueError(
-                f"input must have shape ({self.factorization.n},), got {x.shape}"
-            )
-        object.__setattr__(self, "input", x)
+        check_parameters(mu, trials, seed)
+        x = np.asarray(input, dtype=np.float64)
+        if x.shape != (factorization.n,):
+            raise ValueError(f"input must have shape ({factorization.n},), got {x.shape}")
+        vars(self).update(factorization=factorization, mu=mu, trials=trials, seed=seed,
+                          input=x)
 
 
-@dataclass(frozen=True, eq=False)
-class SimulationResult:
+class SimulationResult(_ReadOnly):
     """Empirical error estimates and their theoretical targets.
 
     z_mean / z_var hold, per coordinate, the mean and variance across
@@ -93,12 +81,12 @@ class SimulationResult:
     sigma = 0.
     """
 
-    empirical_err_inf: float
-    empirical_err_2: float
-    theory_err_inf: float
-    theory_err_2: float
-    z_mean: np.ndarray
-    z_var: np.ndarray
+    def __init__(self, empirical_err_inf: float, empirical_err_2: float,
+                 theory_err_inf: float, theory_err_2: float, z_mean: np.ndarray,
+                 z_var: np.ndarray):
+        vars(self).update(empirical_err_inf=empirical_err_inf, empirical_err_2=empirical_err_2,
+                          theory_err_inf=theory_err_inf, theory_err_2=theory_err_2,
+                          z_mean=z_mean, z_var=z_var)
 
 
 def _generator(seed: int, trial_index: int) -> np.random.Generator:

@@ -5,7 +5,7 @@ asymptotic residual constants they approach."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .factorizations import GROUP_ALGEBRA, NSR, SQRT, Factorization, factorize
 from .sequences import CONSTANTS, _group_algebra_norm_sq, check_size, wallis_coeffs
@@ -75,19 +75,12 @@ def predicted_residual(method: str, metric: str) -> float:
         raise ValueError(f"unknown method/metric pair {(method, metric)!r}") from None
 
 
-@dataclass(frozen=True)
-class ErrorReport:
-    """MaxSE/MeanSE of one (method, n), residuals, and the constants the
-    residuals converge to."""
-
-    method: str
-    n: int
-    maxse: float
-    meanse: float
-    maxse_residual: float
-    meanse_residual: float
-    predicted_maxse_residual: float
-    predicted_meanse_residual: float
+ErrorReport = namedtuple("ErrorReport", (
+    "method", "n", "maxse", "meanse", "maxse_residual", "meanse_residual",
+    "predicted_maxse_residual", "predicted_meanse_residual"))
+ErrorReport.__doc__ = """MaxSE/MeanSE of one (method, n), residuals, and the
+constants the residuals converge to; a named tuple, so it unpacks and
+compares as a tuple."""
 
 
 def error_report(method: str, n: int) -> ErrorReport:

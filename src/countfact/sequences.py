@@ -18,11 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Hard-coded at 17 significant digits; no series evaluation needed.
 EULER_GAMMA = 0.5772156649015329
@@ -244,8 +239,19 @@ def _cosecant_total(m: int) -> float:
     return leading - x * _polyval(_T_SERIES, x * x)
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientTable:
+class _ReadOnly:
+    """Base of the package's records that are not tuples.  Each __init__
+    fills vars(self), and functools.cached_property writes there too; any
+    other assignment or deletion raises AttributeError.  Instances compare
+    and hash by identity."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: {name!r} cannot change")
+
+    __delattr__ = __setattr__
+
+
+class CoefficientTable(_ReadOnly):
     """Read-only bundle of all scalar sequences at one matrix size.
 
     Attributes
@@ -271,8 +277,8 @@ class CoefficientTable:
     factorization's row profile needs none of them.
     """
 
-    n: int
-    d_sq: np.ndarray
+    def __init__(self, n: int, d_sq: np.ndarray):
+        vars(self).update(n=n, d_sq=d_sq)
 
     @functools.cached_property
     def r(self) -> np.ndarray:
@@ -321,23 +327,22 @@ def coefficient_table(n: int) -> CoefficientTable:
     return CoefficientTable(n=n, d_sq=d_sq)
 
 
-@dataclass(frozen=True)
-class NamedConstants:
+class NamedConstants(_ReadOnly):
     """Closed-form limits of the error-norm residuals (natural log throughout).
 
     Every residual in this package subtracts log(n)/pi; these are the
     constants the residuals converge to.
     """
 
-    alpha_infinity: float = (EULER_GAMMA + math.log(16.0)) / math.pi  # limit of alpha_n
+    alpha_infinity = (EULER_GAMMA + math.log(16.0)) / math.pi  # limit of alpha_n
     # = alpha_infinity - log(2)/pi
-    nsr_maxse_const: float = (EULER_GAMMA + math.log(8.0)) / math.pi
+    nsr_maxse_const = (EULER_GAMMA + math.log(8.0)) / math.pi
     # = alpha_infinity - 1/pi
-    nsr_meanse_const: float = (EULER_GAMMA + math.log(16.0) - 1.0) / math.pi
-    sqrt_meanse_const: float = (EULER_GAMMA + math.log(16.0)) / math.pi - 0.5 / math.pi
-    ga_const: float = 0.5 + (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
-    lb_const: float = (EULER_GAMMA + math.log(16.0 / math.pi)) / math.pi
-    mathias_lb_const: float = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
+    nsr_meanse_const = (EULER_GAMMA + math.log(16.0) - 1.0) / math.pi
+    sqrt_meanse_const = (EULER_GAMMA + math.log(16.0)) / math.pi - 0.5 / math.pi
+    ga_const = 0.5 + (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
+    lb_const = (EULER_GAMMA + math.log(16.0 / math.pi)) / math.pi
+    mathias_lb_const = (EULER_GAMMA + math.log(8.0 / math.pi)) / math.pi
 
 
 CONSTANTS = NamedConstants()

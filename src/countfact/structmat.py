@@ -8,12 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import TYPE_CHECKING
 
 from .sequences import check_size
-
-if TYPE_CHECKING:
-    import numpy as np
 
 # Largest n for which dense n x n factors are ever materialized.
 DENSE_BUDGET = 4096

@@ -2,7 +2,6 @@
 
 import argparse
 import concurrent.futures
-import dataclasses
 import hashlib
 import math
 import os
@@ -16,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from golden import COSECANT, GOLDEN, relative_error, sqrt_norms
+from records import replaced
 
 from countfact import bounds as bounds_mod
 from countfact import cli
@@ -205,8 +205,8 @@ class TestFactorize:
         def perturbed(method, n):
             f = original(method, n)
             d = f.right.scale * (1.0 + 1e-6)
-            return dataclasses.replace(f, operators=lambda: (fz.NsrLeft(f.left.col, d),
-                                                             fz.ColumnScaled(f.right.col, d)))
+            return replaced(f, operators=lambda: (fz.NsrLeft(f.left.col, d),
+                                                  fz.ColumnScaled(f.right.col, d)))
 
         monkeypatch.setattr(fz, "factorize", perturbed)
         code, _, err = run_cli(capsys, "factorize", "--method", "nsr", "--n", "64",
@@ -303,8 +303,8 @@ class TestBounds:
 
         def swapped(n, *selected):
             report = original(n, *selected)
-            return dataclasses.replace(report, nuclear_lb=report.mathias_lb,
-                                       mathias_lb=report.nuclear_lb)
+            return replaced(report, nuclear_lb=report.mathias_lb,
+                            mathias_lb=report.nuclear_lb)
 
         monkeypatch.setattr(bounds_mod, "bound_report", swapped)
         monkeypatch.chdir(tmp_path)
@@ -576,7 +576,7 @@ class TestSweep:
 
         def doubled_nsr(method, n):
             report = original(method, n)
-            return (dataclasses.replace(report, maxse=2.0 * report.maxse)
+            return (replaced(report, maxse=2.0 * report.maxse)
                     if method == fz.NSR else report)
 
         monkeypatch.setattr(mt, "error_report", doubled_nsr)
@@ -1064,8 +1064,8 @@ class TestCheckRecords:
 
         def flat(cfg):
             result = original(cfg)
-            return dataclasses.replace(result, z_mean=np.full(cfg.factorization.n, -0.5),
-                                       z_var=np.ones(cfg.factorization.n))
+            return replaced(result, z_mean=np.full(cfg.factorization.n, -0.5),
+                            z_var=np.ones(cfg.factorization.n))
 
         monkeypatch.setattr(cli, "estimate_errors", flat)
         monkeypatch.setattr(cli, "_z_bands", lambda trials, n: bands)
@@ -1109,7 +1109,7 @@ class TestSimulate:
 
         def scaled(method, n):
             f = original(method, n)
-            return dataclasses.replace(f, row_profile=lambda: 4.0 * f.row_norms_sq_left)
+            return replaced(f, row_profile=lambda: 4.0 * f.row_norms_sq_left)
 
         monkeypatch.setattr(fz, "factorize", scaled)
         code, _, err = run_cli(capsys, "simulate", "--method", "sqrt", "--n", "2048",
@@ -1122,7 +1122,7 @@ class TestSimulate:
 
         def biased(cfg):
             result = original(cfg)
-            return dataclasses.replace(result, z_mean=result.z_mean + 10.0)
+            return replaced(result, z_mean=result.z_mean + 10.0)
 
         monkeypatch.setattr(cli, "estimate_errors", biased)
         code, _, err = run_cli(capsys, "simulate", "--method", "nsr", "--n", "64",
@@ -1138,7 +1138,7 @@ class TestSimulate:
             runs.append(cfg)
             if len(runs) == 1:
                 return result
-            return dataclasses.replace(
+            return replaced(
                 result, empirical_err_2=math.nextafter(result.empirical_err_2, math.inf))
 
         monkeypatch.setattr(cli, "estimate_errors", drifting)

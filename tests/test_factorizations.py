@@ -1,7 +1,6 @@
 """Tests for the three factorizations, checked against dense linear algebra
 and high-precision direct evaluation of their defining formulas."""
 
-import dataclasses
 import gc
 import math
 import tracemalloc
@@ -21,6 +20,7 @@ from oracles import (
     mpmath_norm_sq,
     nsr_row_norms_sq_out_of_place,
 )
+from records import replaced
 
 from countfact import (
     GROUP_ALGEBRA,
@@ -463,7 +463,7 @@ class TestOperatorConstruction:
             calls.append(1)
             return f.operators()
 
-        g = dataclasses.replace(f, operators=operators)
+        g = replaced(f, operators=operators)
         assert not built and not calls
         left = g.left
         assert calls == [1] and built == ([left] if method == SQRT else [left, g.right])
@@ -609,7 +609,7 @@ def test_profiles_built_once_by_one_call_on_first_read(method):
         calls.append(1)
         return f.row_profile()
 
-    g = dataclasses.replace(f, row_profile=row_profile)
+    g = replaced(f, row_profile=row_profile)
     assert calls == [] and "row_norms_sq_left" not in vars(g)
     rows = g.row_norms_sq_left
     assert g.row_norms_sq_left is rows

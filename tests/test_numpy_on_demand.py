@@ -1,8 +1,9 @@
 """numpy is imported only inside the functions that build or read arrays.
 
 Importing the package or the CLI loads no numpy, and neither does a sweep
-whose every number is O(1) scalar arithmetic.  Each check runs in a fresh
-interpreter, since the test process has numpy loaded already.
+whose every number is O(1) scalar arithmetic.  None of them loads
+dataclasses or inspect either.  Each check runs in a fresh interpreter,
+since the test process has numpy loaded already.
 """
 
 import json
@@ -19,16 +20,19 @@ from countfact.mechanism import POOL_FLOOR
 
 SRC = Path(countfact.__file__).resolve().parents[1]
 
-# Prints whether numpy was loaded after `import countfact`, after
-# `import countfact.cli` and after cli.main(argv), then exits with main's code.
+# Writes which of numpy, dataclasses and inspect were loaded after
+# `import countfact`, after `import countfact.cli` and after cli.main(argv),
+# then exits with main's code.  numpy's own import loads inspect.
 _LOADED_SCRIPT = """\
 import json, sys
+def watched():
+    return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
 import countfact
-loaded = ["numpy" in sys.modules]
+loaded = [watched()]
 import countfact.cli
-loaded.append("numpy" in sys.modules)
+loaded.append(watched())
 code = countfact.cli.main(json.loads(sys.argv[1]))
-loaded.append("numpy" in sys.modules)
+loaded.append(watched())
 with open(sys.argv[2], "w") as handle:
     json.dump(loaded, handle)
 sys.exit(code)
@@ -64,9 +68,9 @@ def _fresh(script: str, argv, cwd: Path, *extra: str) -> subprocess.CompletedPro
                           env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
-def _fresh_record(argv, tmp_path: Path) -> tuple[list[bool], dict]:
-    """Whether numpy was loaded at each step of a fresh run of argv, and the
-    run's record as same_behaviour.record makes it."""
+def _fresh_record(argv, tmp_path: Path) -> tuple[list[list[str]], dict]:
+    """Which watched modules were loaded at each step of a fresh run of argv,
+    and the run's record as same_behaviour.record makes it."""
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     loaded_path = tmp_path / "loaded.json"
@@ -78,7 +82,7 @@ def _fresh_record(argv, tmp_path: Path) -> tuple[list[bool], dict]:
 def test_scalar_sweep_loads_no_numpy(tmp_path):
     # --n-min 1 covers the sums below the series floor, n < 16.
     loaded, fresh = _fresh_record(NUMPY_FREE, tmp_path)
-    assert loaded == [False, False, False]
+    assert loaded == [[], [], []]
     in_process = tmp_path / "in_process"
     in_process.mkdir()
     assert fresh == record(NUMPY_FREE, in_process)
@@ -88,7 +92,7 @@ def test_scalar_sweep_loads_no_numpy(tmp_path):
 @pytest.mark.parametrize("argv", NUMPY_USERS, ids=label)
 def test_array_commands_load_numpy_and_print_as_before(tmp_path, argv):
     loaded, fresh = _fresh_record(argv, tmp_path)
-    assert loaded == [False, False, True]
+    assert loaded[:2] == [[], []] and "numpy" in loaded[2]
     table = json.loads(TABLE.read_text())
     if {key: table[key] for key in platform_key()} != platform_key():
         pytest.skip(f"digests were taken on another platform than {platform_key()}")

@@ -1,5 +1,6 @@
 """Every import in the package is read where it is made, so a cut leaves no
-stale import behind.  No linter is a dependency; this reads the syntax tree.
+stale import behind, and no module imports what start-up should not pay
+for.  No linter is a dependency; this reads the syntax tree.
 
 An import counts as read when its scope (the module, or the function that
 makes it, with the functions nested in it) loads the name it binds.  Exempt
@@ -13,6 +14,10 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "countfact"
 SCOPES = (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef)
+# dataclasses pulls in inspect, dis and tokenize; typing serves only
+# annotations, which `from __future__ import annotations` never evaluates.
+# A fresh interpreter cannot gate typing where `site` already loads it.
+BARRED = {"dataclasses", "typing"}
 
 
 def _own_imports(scope):
@@ -67,3 +72,30 @@ def test_every_import_is_read(path):
         "future", "all"])
 def test_unread_imports_are_found(source, unread):
     assert unread_imports(source) == unread
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the absolute imports anywhere in source."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return modules
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda path: path.name)
+def test_no_barred_import(path):
+    assert imported_modules(path.read_text(encoding="utf-8")) & BARRED == set(), path.name
+
+
+@pytest.mark.parametrize("source, modules", [
+    ("import dataclasses\n", {"dataclasses"}),
+    ("from typing import TYPE_CHECKING\n", {"typing"}),
+    ("if x:\n    import os.path as p\n", {"os"}),
+    ("def f():\n    from collections.abc import Callable\n", {"collections"}),
+    ("from . import typing\nfrom .sequences import x\n", set()),
+], ids=["import", "from", "nested-dotted", "in-function", "relative"])
+def test_imported_modules_are_found(source, modules):
+    assert imported_modules(source) == modules
